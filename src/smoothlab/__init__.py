@@ -18,9 +18,6 @@ from .contour import (
 from .dirichlet import (
     DirichletCharacter,
     character_group,
-    conductor_of,
-    evaluate,
-    order_of,
     principal_character,
 )
 from .experiments import (
@@ -54,7 +51,7 @@ from .inequalities import (
     pointwise_product_chain,
     run_suite,
 )
-from .kernel import SmoothingKernel, mellin, phi_eval
+from .kernel import SmoothingKernel
 from .lseries import (
     ChebyshevSum,
     EulerProductValue,

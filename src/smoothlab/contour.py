@@ -19,7 +19,7 @@ from .dirichlet import DirichletCharacter, principal_character
 from .kernel import SmoothingKernel, _panel_nodes
 from .lseries import euler_product, euler_product_many
 from .saddle import saddle_alpha
-from .smooth_core import SmoothCount, SmoothCountQuery, count_smooth_weighted
+from .smooth_core import SmoothCountQuery, count_smooth_weighted
 
 DEFAULT_ORDER = 16
 
@@ -38,12 +38,12 @@ class ContourSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ValueError("truncation height T must be positive")
-        if self.c is not None and self.c <= 0:
-            raise ValueError("abscissa must be positive")
-        if self.panel_width is not None and self.panel_width <= 0:
-            raise ValueError("panel width must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("truncation height T must be finite and positive")
+        if self.c is not None and not 0 < self.c < math.inf:
+            raise ValueError("abscissa must be finite and positive")
+        if self.panel_width is not None and not 0 < self.panel_width < math.inf:
+            raise ValueError("panel width must be finite and positive")
         if self.order < 2:
             raise ValueError("quadrature order must be >= 2")
 
@@ -179,9 +179,3 @@ def main_term_ratio(x: float, y: float, q: int, kernel: SmoothingKernel) -> floa
     numer = value.real if isinstance(value, complex) else float(value)
     return numer / denom
 
-
-def direct_weighted_sum(
-    x: float, chi: DirichletCharacter, y: float, kernel: SmoothingKernel
-) -> SmoothCount:
-    """Enumeration-based oracle matching contour_psi (thin convenience wrapper)."""
-    return count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=chi.modulus), kernel, chi=chi)

@@ -267,17 +267,3 @@ def principal_character(q: int) -> DirichletCharacter:
     group = _unit_group(q)
     return DirichletCharacter(q, (0,) * len(group.orders), group)
 
-
-def evaluate(chi: DirichletCharacter, n: int) -> complex:
-    """chi(n) as a unit-modulus complex number, or exactly 0 off the support."""
-    return chi(n)
-
-
-def order_of(chi: DirichletCharacter) -> int:
-    """Least k >= 1 with chi^k principal."""
-    return chi.order
-
-
-def conductor_of(chi: DirichletCharacter) -> int:
-    """Smallest f dividing q such that chi is induced by a character mod f."""
-    return chi.conductor

@@ -274,27 +274,32 @@ def _format_cell(value) -> str:
     return f"{value:.12g}"
 
 
+def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
+    """Write one header row and the given rows; I/O failures become ExportError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ExportError(f"cannot write results to {path}: {exc}") from exc
+
+
 def export_results(records: list[ResultRecord], fmt: str, path: str | Path) -> None:
     """Write records sorted by (x, y, q, a); CSV carries exactly the fixed
     column set at 12 significant digits, JSON mirrors the field names."""
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
     ordered = sorted(records, key=_sort_key)
+    if fmt == "csv":
+        rows = ([_format_cell(row[col]) for col in CSV_COLUMNS] for row in map(asdict, ordered))
+        _write_csv(path, CSV_COLUMNS, rows)
+        return
+    payload = [{col: asdict(rec)[col] for col in CSV_COLUMNS} for rec in ordered]
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for rec in ordered:
-                    row = asdict(rec)
-                    writer.writerow([_format_cell(row[col]) for col in CSV_COLUMNS])
-        else:
-            payload = [
-                {col: asdict(rec)[col] for col in CSV_COLUMNS} for rec in ordered
-            ]
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
         raise ExportError(f"cannot write results to {path}: {exc}") from exc
 
@@ -327,22 +332,11 @@ def load_results(path: str | Path) -> list[ResultRecord]:
 
 def export_unsmoothing(records: list[UnsmoothingRecord], path: str | Path) -> None:
     ordered = sorted(records, key=lambda r: (r.x, r.y, r.q, r.epsilon))
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("x", "y", "q", "epsilon", "ratio"))
-            for rec in ordered:
-                writer.writerow(
-                    [
-                        _format_cell(rec.x),
-                        _format_cell(rec.y),
-                        _format_cell(rec.q),
-                        _format_cell(rec.epsilon),
-                        f"{rec.ratio:.12g}",
-                    ]
-                )
-    except OSError as exc:
-        raise ExportError(f"cannot write results to {path}: {exc}") from exc
+    rows = (
+        [*map(_format_cell, (rec.x, rec.y, rec.q, rec.epsilon)), f"{rec.ratio:.12g}"]
+        for rec in ordered
+    )
+    _write_csv(path, ("x", "y", "q", "epsilon", "ratio"), rows)
 
 
 def export_plot_data(records: list[ResultRecord], path: str | Path) -> None:
@@ -350,11 +344,4 @@ def export_plot_data(records: list[ResultRecord], path: str | Path) -> None:
     by_point = max_discrepancy(records)
     frame = {(r.x, r.y, r.q): r.v for r in records}
     rows = sorted((frame[key], dmax) for key, dmax in by_point.items())
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("v", "max_discrepancy"))
-            for v, dmax in rows:
-                writer.writerow([f"{v:.12g}", f"{dmax:.12g}"])
-    except OSError as exc:
-        raise ExportError(f"cannot write results to {path}: {exc}") from exc
+    _write_csv(path, ("v", "max_discrepancy"), ([f"{v:.12g}", f"{dmax:.12g}"] for v, dmax in rows))

@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import MajorantHypothesisError, NearPoleError
 from .kernel import SmoothingKernel, _panel_nodes
+from .lseries import _factor_matrices
 from .primes import primes_upto
 
 TOL_REL = 1e-6
 TOL_ABS = 1e-9
-POLE_GUARD = 1e-12
 
 MAX_MAJORANT_TERMS = 30
 MAX_EULER_Y = 60.0
@@ -85,19 +85,6 @@ class RandomEulerSpec:
         if self.rule == G_RULE_DISC:
             phases = phases * rng.uniform(0.0, 1.0, ps.size)
         return ps, phases
-
-
-def _euler_factors(
-    ps: np.ndarray, gs: np.ndarray, beta: float, ts: np.ndarray
-) -> np.ndarray:
-    """Matrix of 1 - g(p) p^-(beta+it) over (node, prime)."""
-    if ps.size == 0:
-        return np.ones((ts.size, 0), dtype=complex)
-    logp = np.log(ps)
-    factors = 1.0 - gs[None, :] * np.exp(-np.outer(beta + 1j * ts, logp))
-    if np.min(np.abs(factors)) < POLE_GUARD:
-        raise NearPoleError("random Euler factor within the pole guard band")
-    return factors
 
 
 # -- test functions on the vertical segment -------------------------------------
@@ -170,12 +157,15 @@ def _segment_quantities(
     m = _SEG_START
     while True:
         nodes, weights = _panel_nodes(0.0, r, m, _SEG_ORDER)
-        factors = _euler_factors(ps, gs, beta, nodes)
+        terms, factors = _factor_matrices(beta + 1j * nodes, ps, gs)
+        # G'/G from g(p) p^-s log p / (1 - g(p) p^-s), formed in place and
+        # released so that at most two node-by-prime matrices are alive.
+        terms *= np.log(ps)
+        terms /= factors
+        logderiv = -np.sum(terms, axis=1)
+        del terms
         g_full = np.prod(1.0 / factors, axis=1)
         g_head = np.prod(1.0 / factors[:, head], axis=1)
-        logp = np.log(ps) if ps.size else np.zeros(0)
-        ratio = (1.0 - factors) * logp[None, :] / factors  # g(p) p^-s log p / (1 - ...)
-        logderiv = -np.sum(ratio, axis=1)
         fvals = F.values(beta, nodes)
 
         lhs = abs(np.sum(weights * g_full * fvals))
@@ -189,7 +179,7 @@ def _segment_quantities(
             sup_term = float(np.max(np.abs(suffix)))
         else:
             bounds = np.linspace(0.0, r, m + 1)
-            tail_factors = _euler_factors(ps, gs, beta, bounds)[:, ~head]
+            tail_factors = _factor_matrices(beta + 1j * bounds, ps, gs)[1][:, ~head]
             tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
             sup_term = float(np.max(np.abs(suffix) * tail_prod))
 
@@ -203,8 +193,8 @@ def _segment_quantities(
         prev = cur
         m *= 2
 
-    beta_factors = _euler_factors(ps, gs, beta, np.zeros(1))
-    g_at_beta = float(abs(np.prod(1.0 / beta_factors[:, head])))
+    beta_factors = _factor_matrices(complex(beta), ps, gs)[1]
+    g_at_beta = float(abs(np.prod(1.0 / beta_factors[head])))
     return lhs, sup_term, gg, g2, g_at_beta
 
 

@@ -26,8 +26,6 @@ _STEP_COEFFS = [
 ]
 _STEP_DESC = np.array(_STEP_COEFFS[::-1], dtype=float)
 
-_MELLIN_ABS_TOL = 1e-12
-
 
 @lru_cache(maxsize=64)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -107,31 +105,20 @@ class SmoothingKernel:
     # -- Mellin transform --------------------------------------------------
 
     def mellin(self, s: complex) -> complex:
-        """Mellin transform at s with Re(s) > 0, to absolute accuracy ~1e-12.
-
-        The [0, lo] piece is the closed form lo^s / s; the transition piece is
-        integrated by adaptive composite Gauss-Legendre quadrature.
-        """
+        """Mellin transform at one s with Re(s) > 0 (scalar view of mellin_many)."""
         s = complex(s)
-        if s.real <= 0:
-            raise ValueError("Mellin transform requires Re(s) > 0")
-        head = self.lo**s / s
-        n = self._base_panels(abs(s.imag))
-        prev = self._transition_integral(s, n, order=16)
-        for _ in range(12):
-            n *= 2
-            cur = self._transition_integral(s, n, order=16)
-            if abs(cur - prev) < _MELLIN_ABS_TOL:
-                return head + cur
-            prev = cur
-        return head + prev
+        return complex(self.mellin_many(s.real, np.array([s.imag]))[0])
 
     def mellin_many(self, c: float, ts: np.ndarray) -> np.ndarray:
-        """Vectorized transform at s = c + i*t for an array of ordinates t.
+        """Transform at s = c + i*t, c > 0, for an array of ordinates t.
 
-        Panel count is tied to max |t| so the oscillation of t^(s-1) is
-        resolved; order-24 panels then give near machine accuracy.
+        The [0, lo] piece is the closed form lo^s / s.  The transition piece
+        uses composite order-24 Gauss-Legendre panels whose count is tied to
+        max |t|, so the oscillation of t^(s-1) is resolved and the result is
+        accurate to about 1e-14 absolute.
         """
+        if not c > 0:
+            raise ValueError("Mellin transform requires Re(s) > 0")
         ts = np.asarray(ts, dtype=float)
         s = c + 1j * ts
         head = np.exp(s * math.log(self.lo)) / s
@@ -152,11 +139,6 @@ class SmoothingKernel:
     def _base_panels(self, tmax: float) -> int:
         periods = tmax * math.log(self.hi / self.lo) / (2 * math.pi)
         return max(6, int(math.ceil(2.5 * periods)) + 2)
-
-    def _transition_integral(self, s: complex, n_panels: int, order: int) -> complex:
-        nodes, weights = _panel_nodes(self.lo, self.hi, n_panels, order)
-        vals = self.phi_many(nodes) * np.exp((s - 1.0) * np.log(nodes))
-        return complex(np.sum(weights * vals))
 
     # -- measured decay constant --------------------------------------------
 
@@ -181,12 +163,3 @@ def _measured_decay_constant(lo: float, hi: float) -> float:
             best = max(best, float(prod.max()))
     return best
 
-
-def phi_eval(kernel: SmoothingKernel, t: float) -> float:
-    """Kernel value at t (module-level spelling of SmoothingKernel.phi)."""
-    return kernel.phi(t)
-
-
-def mellin(kernel: SmoothingKernel, s: complex) -> complex:
-    """Mellin transform of the kernel at s with Re(s) > 0."""
-    return kernel.mellin(s)

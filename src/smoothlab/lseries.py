@@ -7,7 +7,6 @@ logarithm and logarithmic derivative are carried alongside the value.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,13 +28,24 @@ class EulerProductValue:
 
 def _support(chi: DirichletCharacter, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Primes p <= y with chi(p) != 0, and the corresponding character values."""
-    ps, cs = [], []
-    for p in primes_upto(y):
-        c = chi(p)
-        if c != 0:
-            ps.append(p)
-            cs.append(c)
-    return np.array(ps, dtype=float), np.array(cs, dtype=complex)
+    ps = np.array(primes_upto(y), dtype=np.int64)
+    cs = chi.value_table()[ps % chi.modulus]
+    keep = cs != 0
+    return ps[keep].astype(float), cs[keep]
+
+
+def _factor_matrices(
+    s: complex | np.ndarray, ps: np.ndarray, cs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of c_p p^-s and 1 - c_p p^-s over (s, p), for s of any shape.
+
+    Raises NearPoleError when a factor 1 - c_p p^-s lies within POLE_GUARD of zero.
+    """
+    terms = cs * np.exp(-np.multiply.outer(s, np.log(ps)))
+    factors = 1.0 - terms
+    if factors.size and np.min(np.abs(factors)) < POLE_GUARD:
+        raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero")
+    return terms, factors
 
 
 def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProductValue:
@@ -46,10 +56,7 @@ def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProduct
     ps, cs = _support(chi, y)
     if ps.size == 0:
         return EulerProductValue(1 + 0j, 0j, 0j)
-    terms = cs * np.exp(-s * np.log(ps))  # chi(p) p^-s
-    factors = 1.0 - terms
-    if np.min(np.abs(factors)) < POLE_GUARD:
-        raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero at s={s}")
+    terms, factors = _factor_matrices(s, ps, cs)
     value = complex(np.prod(1.0 / factors))
     log_value = complex(-np.sum(np.log(factors)))
     log_deriv = complex(-np.sum(np.log(ps) * terms / factors))
@@ -62,14 +69,8 @@ def euler_product_many(
     """Values of the truncated product along the vertical line Re(s) = c."""
     if c <= 0:
         raise ValueError("truncated Euler product requires Re(s) > 0")
-    ts = np.asarray(ts, dtype=float)
     ps, cs = _support(chi, y)
-    if ps.size == 0:
-        return np.ones(ts.shape, dtype=complex)
-    logp = np.log(ps)
-    factors = 1.0 - cs[None, :] * np.exp(-np.outer(ts, logp) * 1j) * ps[None, :] ** (-c)
-    if np.min(np.abs(factors)) < POLE_GUARD:
-        raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero on Re(s)={c}")
+    factors = _factor_matrices(c + 1j * np.asarray(ts, dtype=float), ps, cs)[1]
     return np.prod(1.0 / factors, axis=1)
 
 

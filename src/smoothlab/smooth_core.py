@@ -59,12 +59,12 @@ class SmoothCountQuery:
     def __post_init__(self) -> None:
         if (self.x is None) == (self.bigx is None):
             raise ValueError("exactly one of x and bigx must be given")
-        if self.y < 2:
-            raise ValueError("smoothness bound y must be >= 2")
+        if not 2 <= self.y < math.inf:
+            raise ValueError("smoothness bound y must be finite and >= 2")
         if self.q < 1:
             raise ValueError("modulus q must be >= 1")
-        if self.x is not None and self.x < 1:
-            raise ValueError("threshold x must be >= 1")
+        if self.x is not None and not 1 <= self.x < math.inf:
+            raise ValueError("threshold x must be finite and >= 1")
         if self.bigx is not None:
             base, exponent = self.bigx
             if base < 2 or exponent < 1:

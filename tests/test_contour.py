@@ -27,6 +27,25 @@ def _direct(x, chi, y):
     return count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=chi.modulus), KERNEL, chi=chi).value
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: SmoothCountQuery(x=v, y=10.0),
+        lambda v: SmoothCountQuery(x=100.0, y=v),
+        lambda v: ContourSpec(T=v),
+        lambda v: ContourSpec(T=10.0, c=v),
+        lambda v: ContourSpec(T=10.0, panel_width=v),
+        lambda v: saddle_alpha(v, 10.0),
+        lambda v: saddle_alpha(100.0, v),
+    ],
+    ids=["query_x", "query_y", "spec_T", "spec_c", "spec_panel_width", "saddle_x", "saddle_y"],
+)
+def test_non_finite_inputs_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
 def test_trivial_character_reconstruction():
     chi = principal_character(1)
     res = contour_psi(100.0, chi, 5.0, KERNEL, ContourSpec(T=50.0))

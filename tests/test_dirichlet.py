@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlab import (
-    character_group,
-    conductor_of,
-    evaluate,
-    order_of,
-    principal_character,
-)
+from smoothlab import character_group, principal_character
 from smoothlab.errors import ModulusTooLargeError
 
 
@@ -47,10 +41,10 @@ def test_closed_under_multiplication_and_conjugation(q):
 
 def test_evaluate_examples():
     chi4 = character_group(4)[1]
-    assert evaluate(chi4, 3) == -1  # exact, not approximate
-    assert evaluate(chi4, 2) == 0
-    chi_i = next(c for c in character_group(5) if abs(evaluate(c, 2) - 1j) < 1e-12)
-    assert evaluate(chi_i, 4) == -1
+    assert chi4(3) == -1  # exact, not approximate
+    assert chi4(2) == 0
+    chi_i = next(c for c in character_group(5) if abs(c(2) - 1j) < 1e-12)
+    assert chi_i(4) == -1
 
 
 def test_zero_off_support():
@@ -58,7 +52,7 @@ def test_zero_off_support():
         for chi in character_group(q):
             for n in range(2 * q):
                 if gcd(n, q) != 1:
-                    assert evaluate(chi, n) == 0
+                    assert chi(n) == 0
 
 
 @given(
@@ -70,7 +64,7 @@ def test_zero_off_support():
 def test_total_multiplicativity(q, m, n, pick):
     chars = character_group(q)
     chi = chars[pick % len(chars)]
-    assert evaluate(chi, m * n) == pytest.approx(evaluate(chi, m) * evaluate(chi, n), abs=1e-12)
+    assert chi(m * n) == pytest.approx(chi(m) * chi(n), abs=1e-12)
 
 
 @given(
@@ -81,7 +75,7 @@ def test_unit_modulus_on_units(q, n):
     if gcd(n, q) != 1:
         return
     for chi in character_group(q):
-        assert abs(abs(evaluate(chi, n)) - 1.0) < 1e-12
+        assert abs(abs(chi(n)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12, 16, 21, 40, 60, 89, 200])
@@ -112,10 +106,10 @@ def test_power_to_order_is_principal(q):
 
 
 def test_order_of_examples():
-    assert order_of(principal_character(7)) == 1
+    assert principal_character(7).order == 1
     quad = next(c for c in character_group(7) if not c.is_principal and c.order == 2)
-    assert all(evaluate(quad, n).imag == pytest.approx(0.0, abs=1e-12) for n in range(1, 7))
-    assert max(order_of(c) for c in character_group(5)) == 4
+    assert all(quad(n).imag == pytest.approx(0.0, abs=1e-12) for n in range(1, 7))
+    assert max(c.order for c in character_group(5)) == 4
 
 
 def _conductor_oracle(chi) -> int:
@@ -123,7 +117,7 @@ def _conductor_oracle(chi) -> int:
     q = chi.modulus
     for f in sorted(d for d in range(1, q + 1) if q % d == 0):
         if all(
-            evaluate(chi, n) == pytest.approx(1.0, abs=1e-12)
+            chi(n) == pytest.approx(1.0, abs=1e-12)
             for n in range(1, q + 1)
             if n % f == 1 % f and gcd(n, q) == 1
         ):
@@ -134,16 +128,16 @@ def _conductor_oracle(chi) -> int:
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 36, 40])
 def test_conductor_matches_induction_oracle(q):
     for chi in character_group(q):
-        f = conductor_of(chi)
+        f = chi.conductor
         assert q % f == 0
         assert f == _conductor_oracle(chi)
 
 
 def test_conductor_examples():
-    assert conductor_of(principal_character(12)) == 1
-    assert conductor_of(character_group(4)[1]) == 4  # primitive
+    assert principal_character(12).conductor == 1
+    assert character_group(4)[1].conductor == 4  # primitive
     mod12 = character_group(12)
-    assert sorted(conductor_of(c) for c in mod12) == [1, 3, 4, 12]
+    assert sorted(c.conductor for c in mod12) == [1, 3, 4, 12]
 
 
 def test_modulus_too_large():

@@ -12,6 +12,7 @@ from conftest import brute_count_smooth
 from smoothlab import (
     ExperimentConfig,
     ResultRecord,
+    UnsmoothingRecord,
     export_results,
     load_results,
     max_discrepancy,
@@ -192,9 +193,18 @@ def test_json_export_mirrors_fields(tmp_path):
     assert data[0]["count"] == 8
 
 
-def test_export_error_carries_path():
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: export_results([_sample_record()], "csv", path),
+        lambda path: export_unsmoothing([UnsmoothingRecord(1e3, 10.0, 3, 0.5, 0.25)], path),
+        lambda path: export_plot_data([_sample_record()], path),
+    ],
+    ids=["results", "unsmoothing", "plot_data"],
+)
+def test_export_error_carries_path(write):
     with pytest.raises(ExportError, match="no/such/dir"):
-        export_results([_sample_record()], "csv", "no/such/dir/out.csv")
+        write("no/such/dir/out.csv")
 
 
 def test_unsmoothing_and_plot_data_exports(tmp_path):

@@ -3,28 +3,30 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlab import SmoothingKernel, mellin, phi_eval
+from smoothlab import SmoothingKernel
+from smoothlab.kernel import _STEP_COEFFS
 
 KERNEL = SmoothingKernel()
 
 
 def test_plateau_and_support():
-    assert phi_eval(KERNEL, 0.0) == 1.0
-    assert phi_eval(KERNEL, 0.3) == 1.0
-    assert phi_eval(KERNEL, 0.5) == 1.0
-    assert phi_eval(KERNEL, 2.0) == 0.0
-    assert phi_eval(KERNEL, 2.5) == 0.0
+    assert KERNEL.phi(0.0) == 1.0
+    assert KERNEL.phi(0.3) == 1.0
+    assert KERNEL.phi(0.5) == 1.0
+    assert KERNEL.phi(2.0) == 0.0
+    assert KERNEL.phi(2.5) == 0.0
 
 
 def test_midpoint_is_exactly_half():
     # (hi - 1.25) / (hi - lo) = 1/2 and the smoothstep is symmetric there
     assert KERNEL.phi_exact(Fraction(5, 4)) == Fraction(1, 2)
-    assert phi_eval(KERNEL, 1.25) == pytest.approx(0.5, abs=1e-13)
+    assert KERNEL.phi(1.25) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_symmetry_of_transition():
@@ -75,7 +77,7 @@ def _simpson_mellin(kernel, s: complex, n: int = 40001) -> complex:
 
 def test_mellin_at_one_decomposes():
     # plateau contributes exactly 1/2; the transition integral is 3/4 by symmetry
-    got = mellin(KERNEL, 1.0)
+    got = KERNEL.mellin(1.0)
     assert got.imag == 0
     assert 0.5 <= got.real <= 2.0
     assert got.real == pytest.approx(1.25, abs=1e-12)
@@ -83,26 +85,44 @@ def test_mellin_at_one_decomposes():
 
 @pytest.mark.parametrize("s", [0.37, 1.0, 2.0, 0.8 + 3.0j, 1.2 + 17.5j, 0.5 + 60.0j])
 def test_mellin_matches_independent_quadrature(s):
-    assert mellin(KERNEL, s) == pytest.approx(_simpson_mellin(KERNEL, complex(s)), abs=5e-9)
+    assert KERNEL.mellin(s) == pytest.approx(_simpson_mellin(KERNEL, complex(s)), abs=5e-9)
 
 
-def test_mellin_vectorized_matches_scalar():
+def _mpmath_mellin(kernel, s: complex) -> complex:
+    """30-digit reference: exact plateau piece plus tanh-sinh quadrature of the
+    exact integer-coefficient smoothstep over panels of equal width in log t,
+    each shorter than one period of t^(i Im s) while |Im s| <= 145."""
+    with mpmath.workdps(30):
+        lo, hi, s = mpmath.mpf(kernel.lo), mpmath.mpf(kernel.hi), mpmath.mpc(s)
+
+        def integrand(t):
+            u = (hi - t) / (hi - lo)
+            return u**10 * mpmath.polyval(_STEP_COEFFS[::-1], u) * t ** (s - 1)
+
+        edges = [lo * (hi / lo) ** (mpmath.mpf(k) / 32) for k in range(33)]
+        return complex(lo**s / s + mpmath.quad(integrand, edges))
+
+
+def test_mellin_many_matches_mpmath_quadrature():
     ts = np.array([0.0, 0.9, 12.0, 101.4])
-    vec = KERNEL.mellin_many(0.7, ts)
-    sca = np.array([KERNEL.mellin(complex(0.7, t)) for t in ts])
-    assert np.max(np.abs(vec - sca)) < 1e-12
+    got = KERNEL.mellin_many(0.7, ts)
+    want = np.array([_mpmath_mellin(KERNEL, complex(0.7, t)) for t in ts])
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_mellin_domain_error():
     with pytest.raises(ValueError):
-        mellin(KERNEL, 0.0)
+        KERNEL.mellin(0.0)
     with pytest.raises(ValueError):
-        mellin(KERNEL, -1.0 + 2.0j)
+        KERNEL.mellin(-1.0 + 2.0j)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            KERNEL.mellin_many(c, np.array([1.0]))
 
 
 def test_mellin_lower_bound_on_unit_interval():
     for c in np.linspace(0.02, 1.0, 50):
-        assert mellin(KERNEL, float(c)).real >= 1.0 / (2.0 * c)
+        assert KERNEL.mellin(float(c)).real >= 1.0 / (2.0 * c)
 
 
 def test_decay_product_stable_under_refinement():

@@ -80,6 +80,8 @@ def test_near_pole_guard():
         # the p=2 factor of the full product vanishes at s = 2*pi*i/log 2 + 0;
         # move along Re(s) -> 0 instead: at s ~ 0+ the factor 1 - 2^-s -> 0
         euler_product(1e-14, principal_character(1), 3.0)
+    with pytest.raises(NearPoleError):
+        euler_product_many(1e-14, np.array([0.0]), principal_character(1), 3.0)
     with pytest.raises(ValueError):
         euler_product(-1.0, principal_character(1), 3.0)
 
