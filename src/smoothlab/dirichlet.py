@@ -116,6 +116,19 @@ class _UnitGroup:
                     gens.append((1 + rest * ((g - 1) * inv % comp.modulus)) % self.q)
         return tuple(gens)
 
+    @cached_property
+    def dlog_columns(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """Per generator: its component's modulus, and the dlog against it as
+        an int array indexed by residue mod that modulus (0 off the units)."""
+        out = []
+        for comp in self.components:
+            residues = np.fromiter(comp.dlog, dtype=np.int64, count=len(comp.dlog))
+            logs = np.array(list(comp.dlog.values()), dtype=np.int64)
+            table = np.zeros((len(comp.gens), comp.modulus), dtype=np.int64)
+            table[:, residues] = logs.T
+            out.extend((comp.modulus, column) for column in table)
+        return tuple(out)
+
     def dlog_of(self, n: int) -> tuple[int, ...]:
         out: tuple[int, ...] = ()
         for comp in self.components:
@@ -203,14 +216,25 @@ class DirichletCharacter:
 
     @cached_property
     def _value_table(self) -> np.ndarray:
-        q = self.modulus
+        # chi(r) is the turn k(r) / L with k(r) = sum (m * dlog % d) * (L / d)
+        # mod L; each distinct k is mapped to a complex value once, exactly as
+        # __call__ maps the reduced fraction k / L.
+        q, group = self.modulus, self.group
+        big_l = lcm(*group.orders)
+        residues = np.arange(q)
+        k = np.zeros(q, dtype=np.int64)
+        for (modulus, dlog), m, d in zip(group.dlog_columns, self.exponents, group.orders):
+            k += (m * dlog[residues % modulus] % d) * (big_l // d)
+        units = np.gcd(residues, q) == 1
+        distinct, where = np.unique(k[units] % big_l, return_inverse=True)
+        values = [
+            _QUARTER_VALUES[Fraction(4 * kk // big_l, 4)]
+            if 4 * kk % big_l == 0
+            else cmath.exp(2j * cmath.pi * (kk / big_l))
+            for kk in distinct.tolist()
+        ]
         table = np.zeros(q, dtype=complex)
-        if q == 1:
-            table[0] = 1.0
-            return table
-        for r in range(q):
-            if gcd(r, q) == 1:
-                table[r] = self(r)
+        table[units] = np.array(values, dtype=complex)[where]
         return table
 
     def value_table(self) -> np.ndarray:

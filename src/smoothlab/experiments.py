@@ -7,17 +7,19 @@ byte-stable so repeated runs of one config compare equal.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from math import gcd
 from pathlib import Path
 
-from .dirichlet import character_group
 from .errors import ExportError, InvalidSubgroupError
 from .saddle import saddle_alpha
-from .smooth_core import SmoothCountQuery, count_smooth, smooth_values
+from .smooth_core import SmoothCountQuery, _enumerate
 
 CSV_COLUMNS = ("x", "y", "q", "a", "count", "expected", "discrepancy", "u", "v", "w", "alpha")
 
@@ -29,12 +31,8 @@ class ExperimentConfig:
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     qs: tuple[int, ...]
-    kernel_lo: float = 0.5
-    kernel_hi: float = 2.0
     epsilons: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0)
     order_threshold: int = 2
-    range_a: float = 1.0
-    range_d: float = 1.0
     output_path: str | None = None
     output_format: str = "csv"
 
@@ -54,6 +52,9 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key in ("xs", "ys", "qs", "epsilons"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -84,16 +85,20 @@ class UnsmoothingRecord:
     ratio: float
 
 
-def _grid_frame(x: float, y: float, q: int) -> tuple[float, float, float, float]:
-    sp = saddle_alpha(x, y)
-    v = math.log(x) / math.log(q)
-    return sp.u, v, min(v, y), sp.alpha
-
-
-def _class_counts(x: float, y: float, q: int) -> tuple[Counter, int]:
-    values = smooth_values(x, y, q)
-    counts = Counter(v % q for v in values)
-    return counts, len(values)
+def _class_grid(config: ExperimentConfig):
+    """Per grid point: q, the class counts, the total (>= 1, since n = 1 is
+    always counted), the units mod q, and a ResultRecord builder carrying the
+    point, the equidistributed share and the saddle frame."""
+    for x, y, q in itertools.product(config.xs, config.ys, config.qs):
+        values = _enumerate(SmoothCountQuery(x=x, y=y, q=q))
+        units = [a for a in range(q) if gcd(a, q) == 1]
+        sp = saddle_alpha(x, y)
+        v = math.log(x) / math.log(q)
+        record = partial(
+            ResultRecord, x=x, y=y, q=q, expected=len(values) / len(units),
+            u=sp.u, v=v, w=min(v, y), alpha=sp.alpha,
+        )
+        yield q, Counter(n % q for n in values), len(values), units, record
 
 
 def run_equidistribution(config: ExperimentConfig) -> list[ResultRecord]:
@@ -103,30 +108,11 @@ def run_equidistribution(config: ExperimentConfig) -> list[ResultRecord]:
     discrepancy the relative deviation |count * phi(q) / total - 1|.
     """
     records = []
-    for x in config.xs:
-        for y in config.ys:
-            for q in config.qs:
-                counts, total = _class_counts(x, y, q)
-                classes = [a for a in range(q) if gcd(a, q) == 1]
-                phi = len(classes)
-                u, v, w, alpha = _grid_frame(x, y, q)
-                for a in classes:
-                    c = counts.get(a, 0)
-                    records.append(
-                        ResultRecord(
-                            x=x,
-                            y=y,
-                            q=q,
-                            a=a,
-                            count=c,
-                            expected=total / phi,
-                            discrepancy=abs(c * phi / total - 1.0) if total else 0.0,
-                            u=u,
-                            v=v,
-                            w=w,
-                            alpha=alpha,
-                        )
-                    )
+    for _, counts, total, units, record in _class_grid(config):
+        phi = len(units)
+        for a in units:
+            c = counts.get(a, 0)
+            records.append(record(a=a, count=c, discrepancy=abs(c * phi / total - 1.0)))
     return records
 
 
@@ -171,76 +157,54 @@ def run_coset(
     H defaults to the subgroup of order_threshold-th powers.  count holds the
     signed difference and the a-field a "repH:a/b" pair label.
     """
+    subgroups = {
+        q: _validate_subgroup(
+            q, subgroup if subgroup is not None else power_subgroup(q, config.order_threshold)
+        )
+        for q in config.qs
+    }
     records = []
-    for x in config.xs:
-        for y in config.ys:
-            for q in config.qs:
-                h = _validate_subgroup(
-                    q, subgroup if subgroup is not None else power_subgroup(q, config.order_threshold)
-                )
-                counts, total = _class_counts(x, y, q)
-                classes = [a for a in range(q) if gcd(a, q) == 1]
-                phi = len(classes)
-                u, v, w, alpha = _grid_frame(x, y, q)
-                seen: set[int] = set()
-                for a in classes:
-                    if a in seen:
-                        continue
-                    coset = sorted(a * hh % q for hh in h)
-                    seen.update(coset)
-                    rep = coset[0]
-                    for i, a1 in enumerate(coset):
-                        for a2 in coset[i + 1 :]:
-                            diff = counts.get(a1, 0) - counts.get(a2, 0)
-                            records.append(
-                                ResultRecord(
-                                    x=x,
-                                    y=y,
-                                    q=q,
-                                    a=f"{rep}H:{a1}/{a2}",
-                                    count=diff,
-                                    expected=total / phi,
-                                    discrepancy=abs(diff) * phi / total if total else 0.0,
-                                    u=u,
-                                    v=v,
-                                    w=w,
-                                    alpha=alpha,
-                                )
-                            )
+    for q, counts, total, units, record in _class_grid(config):
+        phi = len(units)
+        seen: set[int] = set()
+        for a in units:
+            if a in seen:
+                continue
+            coset = sorted(a * h % q for h in subgroups[q])
+            seen.update(coset)
+            for i, a1 in enumerate(coset):
+                for a2 in coset[i + 1 :]:
+                    diff = counts.get(a1, 0) - counts.get(a2, 0)
+                    label = f"{coset[0]}H:{a1}/{a2}"
+                    records.append(record(a=label, count=diff, discrepancy=abs(diff) * phi / total))
     return records
+
+
+def _unsmoothing_ratios(x: float, y: float, q: int, epsilons: tuple[float, ...]) -> list[float]:
+    """unsmoothing_ratio at every epsilon, from one enumeration up to x."""
+    if any(not 0 <= eps <= 1 for eps in epsilons):
+        raise ValueError("epsilon must lie in [0, 1]")
+    values = sorted(_enumerate(SmoothCountQuery(x=x, y=y, q=q)))
+    total = len(values)
+    # bisect compares each integer n with the float threshold exactly.
+    return [(total - bisect_right(values, (1 - eps) * x)) / total for eps in epsilons]
 
 
 def unsmoothing_ratio(x: float, y: float, q: int, epsilon: float) -> float:
     """Relative count lost when the threshold shrinks from x to (1 - eps) x.
 
-    Exactly 0 at eps = 0 and exactly 1 at eps = 1 (nothing survives below 1).
+    Exactly 0 at eps = 0 and exactly 1 once (1 - eps) x < 1.
     """
-    if not 0 <= epsilon <= 1:
-        raise ValueError("epsilon must lie in [0, 1]")
-    total = count_smooth(SmoothCountQuery(x=x, y=y, q=q)).value
-    if epsilon == 0.0:
-        return 0.0
-    shrunk = (
-        0
-        if epsilon == 1.0
-        else count_smooth(SmoothCountQuery(x=(1 - epsilon) * x, y=y, q=q)).value
-    )
-    return (total - shrunk) / total
+    return _unsmoothing_ratios(x, y, q, (epsilon,))[0]
 
 
 def run_unsmoothing(config: ExperimentConfig) -> list[UnsmoothingRecord]:
     """unsmoothing_ratio over the config grid and epsilon list."""
-    records = []
-    for x in config.xs:
-        for y in config.ys:
-            for q in config.qs:
-                for eps in config.epsilons:
-                    records.append(
-                        UnsmoothingRecord(
-                            x=x, y=y, q=q, epsilon=eps, ratio=unsmoothing_ratio(x, y, q, eps)
-                        )
-                    )
-    return records
+    return [
+        UnsmoothingRecord(x=x, y=y, q=q, epsilon=eps, ratio=ratio)
+        for x, y, q in itertools.product(config.xs, config.ys, config.qs)
+        for eps, ratio in zip(config.epsilons, _unsmoothing_ratios(x, y, q, config.epsilons))
+    ]
 
 
 def unsmoothing_slopes(

@@ -110,16 +110,16 @@ class SmoothingKernel:
         return complex(self.mellin_many(s.real, np.array([s.imag]))[0])
 
     def mellin_many(self, c: float, ts: np.ndarray) -> np.ndarray:
-        """Transform at s = c + i*t, c > 0, for an array of ordinates t.
+        """Transform at s = c + i*t, finite c > 0, for an array of finite ordinates t.
 
         The [0, lo] piece is the closed form lo^s / s.  The transition piece
         uses composite order-24 Gauss-Legendre panels whose count is tied to
         max |t|, so the oscillation of t^(s-1) is resolved and the result is
         accurate to about 1e-14 absolute.
         """
-        if not c > 0:
-            raise ValueError("Mellin transform requires Re(s) > 0")
         ts = np.asarray(ts, dtype=float)
+        if not (0 < c < math.inf and np.isfinite(ts).all()):
+            raise ValueError("Mellin transform requires finite s with Re(s) > 0")
         s = c + 1j * ts
         head = np.exp(s * math.log(self.lo)) / s
         tmax = float(np.max(np.abs(ts))) if ts.size else 0.0

@@ -7,6 +7,7 @@ logarithm and logarithmic derivative are carried alongside the value.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ def _factor_matrices(
 def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProductValue:
     """Product, factor-wise log, and L'/L of the truncated Euler product at s."""
     s = complex(s)
-    if s.real <= 0:
-        raise ValueError("truncated Euler product requires Re(s) > 0")
+    if not (cmath.isfinite(s) and s.real > 0):
+        raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
     ps, cs = _support(chi, y)
     if ps.size == 0:
         return EulerProductValue(1 + 0j, 0j, 0j)
@@ -67,10 +68,11 @@ def euler_product_many(
     c: float, ts: np.ndarray, chi: DirichletCharacter, y: float
 ) -> np.ndarray:
     """Values of the truncated product along the vertical line Re(s) = c."""
-    if c <= 0:
-        raise ValueError("truncated Euler product requires Re(s) > 0")
+    ts = np.asarray(ts, dtype=float)
+    if not (0 < c < math.inf and np.isfinite(ts).all()):
+        raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
     ps, cs = _support(chi, y)
-    factors = _factor_matrices(c + 1j * np.asarray(ts, dtype=float), ps, cs)[1]
+    factors = _factor_matrices(c + 1j * ts, ps, cs)[1]
     return np.prod(1.0 / factors, axis=1)
 
 

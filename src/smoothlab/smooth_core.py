@@ -115,6 +115,23 @@ def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
     return vals
 
 
+def _enumerate(
+    query: SmoothCountQuery, ceiling: float | None = None, scale: float = 1.0
+) -> list[int]:
+    """smooth_values(scale * x, y, q) for a plain-x query, refused when x lies
+    above the enumeration ceiling (SMOOTHLAB_CEILING unless given).
+
+    Every exact enumeration behind a query goes through here.
+    """
+    assert query.x is not None
+    cap = enumeration_ceiling() if ceiling is None else ceiling
+    if query.x > cap:
+        raise ThresholdExceededError(
+            f"x={query.x:g} exceeds the enumeration ceiling {cap:g}"
+        )
+    return smooth_values(scale * query.x, query.y, query.q)
+
+
 def count_smooth(query: SmoothCountQuery, ceiling: float | None = None) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q).
 
@@ -124,13 +141,7 @@ def count_smooth(query: SmoothCountQuery, ceiling: float | None = None) -> Smoot
         if query.a is not None:
             raise ValueError("residue classes require a plain-x query")
         return count_smooth_bigx(query.bigx, query.y, query.q)
-    assert query.x is not None
-    cap = enumeration_ceiling() if ceiling is None else ceiling
-    if query.x > cap:
-        raise ThresholdExceededError(
-            f"x={query.x:g} exceeds the enumeration ceiling {cap:g}"
-        )
-    vals = smooth_values(query.x, query.y, query.q)
+    vals = _enumerate(query, ceiling)
     if query.a is None:
         return SmoothCount(len(vals), exact=True)
     a, q = query.a, query.q
@@ -151,7 +162,6 @@ def count_smooth_weighted(
     """
     if query.bigx is not None:
         raise ValueError("weighted counts require a plain-x query")
-    assert query.x is not None
     if chi is not None:
         if chi.modulus != query.q:
             raise ModulusMismatchError(
@@ -159,13 +169,8 @@ def count_smooth_weighted(
             )
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
-    cap = enumeration_ceiling() if ceiling is None else ceiling
-    if query.x > cap:
-        raise ThresholdExceededError(
-            f"x={query.x:g} exceeds the enumeration ceiling {cap:g}"
-        )
     x, q = query.x, query.q
-    vals = np.array(smooth_values(kernel.hi * x, query.y, q), dtype=np.int64)
+    vals = np.array(_enumerate(query, ceiling, scale=kernel.hi), dtype=np.int64)
     if vals.size == 0:
         return SmoothCount(0j if chi is not None else 0.0, exact=True)
     weights = kernel.phi_many(vals / x)

@@ -140,6 +140,24 @@ def test_conductor_examples():
     assert sorted(c.conductor for c in mod12) == [1, 3, 4, 12]
 
 
+def _bits(values) -> list[bytes]:
+    return [np.complex128(v).tobytes() for v in values]
+
+
+def test_value_table_is_chi_bitwise():
+    for q in range(1, 61):
+        for chi in character_group(q):
+            assert _bits(chi.value_table()) == _bits(chi(r) for r in range(q))
+    q = 99_000  # 2^3 3^2 5^3 11: both 2-power generators and four odd components
+    chars = character_group(q)
+    rng = np.random.default_rng(7)
+    residues = rng.integers(0, q, 400).tolist()
+    for index in (0, 1, *rng.integers(2, len(chars), 6).tolist()):
+        chi = chars[index]
+        table = chi.value_table()
+        assert _bits(table[residues]) == _bits(chi(r) for r in residues)
+
+
 def test_modulus_too_large():
     with pytest.raises(ModulusTooLargeError):
         character_group(10**6 + 1)

@@ -23,7 +23,7 @@ from smoothlab import (
     unsmoothing_ratio,
     unsmoothing_slopes,
 )
-from smoothlab.errors import ExportError, InvalidSubgroupError
+from smoothlab.errors import ExportError, InvalidSubgroupError, ThresholdExceededError
 from smoothlab.experiments import CSV_COLUMNS, export_plot_data, export_unsmoothing
 
 
@@ -77,6 +77,13 @@ def test_config_from_json(tmp_path):
     assert cfg.xs == (100.0,) and cfg.epsilons == (0.0, 0.1)
 
 
+def test_config_from_json_rejects_unknown_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"xs": [100.0], "ys": [5.0], "qs": [3], "kernel_lo": 0.5}))
+    with pytest.raises(ValueError, match="unknown config keys: kernel_lo"):
+        ExperimentConfig.from_json(path)
+
+
 # -- cosets ----------------------------------------------------------------------
 
 
@@ -119,6 +126,31 @@ def test_unsmoothing_fixtures():
     assert unsmoothing_ratio(100.0, 5.0, 1, 0.0) == 0.0
     assert unsmoothing_ratio(100.0, 5.0, 1, 1.0) == 1.0
     assert unsmoothing_ratio(100.0, 5.0, 1, 0.1) == pytest.approx(2 / 34)
+
+
+def test_unsmoothing_below_one_loses_everything():
+    assert unsmoothing_ratio(100.0, 5.0, 1, 0.995) == 1.0
+    cfg = ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(3,), epsilons=(0.0, 0.995))
+    recs = run_unsmoothing(cfg)
+    assert [(r.epsilon, r.ratio) for r in recs] == [(0.0, 0.0), (0.995, 1.0)]
+
+
+def test_unsmoothing_matches_brute_force():
+    epsilons = (0.0, 0.1, 0.37, 0.5, 0.9, 0.995, 1.0)
+    cfg = ExperimentConfig(xs=(100.0, 250.0), ys=(5.0, 7.5), qs=(3, 4), epsilons=epsilons)
+    got = {(r.x, r.y, r.q, r.epsilon): r.ratio for r in run_unsmoothing(cfg)}
+    assert len(got) == 2 * 2 * 2 * len(epsilons)
+    for (x, y, q, eps), ratio in got.items():
+        total = brute_count_smooth(x, y, q)
+        kept = brute_count_smooth((1 - eps) * x, y, q)
+        assert ratio == (total - kept) / total
+
+
+@pytest.mark.parametrize("run", [run_equidistribution, run_coset, run_unsmoothing])
+def test_every_mode_honours_the_ceiling(run, monkeypatch):
+    monkeypatch.setenv("SMOOTHLAB_CEILING", "50")
+    with pytest.raises(ThresholdExceededError):
+        run(ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(3,)))
 
 
 def test_unsmoothing_run_and_slopes():

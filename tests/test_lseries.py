@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothlab import (
+    SmoothingKernel,
     character_group,
     chebyshev_weight,
     euler_product,
@@ -84,6 +85,32 @@ def test_near_pole_guard():
         euler_product_many(1e-14, np.array([0.0]), principal_character(1), 3.0)
     with pytest.raises(ValueError):
         euler_product(-1.0, principal_character(1), 3.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_product(complex(math.nan, 0.0), principal_character(1), 10.0),
+        lambda: euler_product(complex(1.0, math.inf), principal_character(1), 10.0),
+        lambda: euler_product_many(math.inf, np.array([0.0]), principal_character(1), 10.0),
+        lambda: euler_product_many(math.nan, np.array([0.0]), principal_character(1), 10.0),
+        lambda: euler_product_many(1.0, np.array([0.0, math.nan]), principal_character(1), 10.0),
+        lambda: euler_product_many(1.0, np.array([-math.inf]), principal_character(1), 10.0),
+        lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0])),
+        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan])),
+        lambda: SmoothingKernel().mellin(complex(1.0, math.inf)),
+        lambda: SmoothingKernel().mellin(complex(1.0, math.nan)),
+        lambda: SmoothingKernel().mellin(math.inf),
+    ],
+    ids=[
+        "euler_product-nan-s", "euler_product-inf-t", "euler_product_many-inf-c",
+        "euler_product_many-nan-c", "euler_product_many-nan-t", "euler_product_many-inf-t",
+        "mellin_many-inf-c", "mellin_many-nan-t", "mellin-inf-t", "mellin-nan-t", "mellin-inf-s",
+    ],
+)
+def test_non_finite_s_rejected(call):
+    with pytest.raises(ValueError, match="finite s"):
+        call()
 
 
 def test_vectorized_line_values():
