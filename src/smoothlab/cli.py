@@ -15,6 +15,7 @@ from dataclasses import asdict
 
 from .contour import ContourSpec, contour_psi
 from .dirichlet import character_group
+from .errors import SmoothLabError
 from .experiments import (
     ExperimentConfig,
     export_plot_data,
@@ -236,8 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a ValueError or SmoothLabError it raises becomes a
+    one-line message on stderr and exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, SmoothLabError) as exc:
+        print(f"smoothlab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ class SmoothLabError(Exception):
 
 
 class ThresholdExceededError(SmoothLabError):
-    """Requested x lies above the exact-enumeration ceiling."""
+    """Requested enumeration limit lies above the exact-enumeration ceiling."""
 
 
 class InvalidResidueError(SmoothLabError):

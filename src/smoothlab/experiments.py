@@ -41,6 +41,10 @@ class ExperimentConfig:
             raise ValueError("xs, ys, qs must be nonempty")
         if min(self.qs) < 2:
             raise ValueError("every modulus must be >= 2")
+        if not all(math.isfinite(x) for x in self.xs):
+            raise ValueError("every threshold x must be finite")
+        if not all(2 <= y < math.inf for y in self.ys):
+            raise ValueError("every smoothness bound y must be finite and >= 2")
         if max(self.ys) > min(self.xs):
             raise ValueError("every grid point must satisfy y <= x")
         if any(not 0 <= e <= 1 for e in self.epsilons):

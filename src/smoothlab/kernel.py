@@ -33,12 +33,16 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _panels(a: float, b: float, n_panels: int) -> tuple[np.ndarray, float]:
+    """Midpoints and half-width of n_panels equal panels of [a, b]."""
+    edges = np.linspace(a, b, n_panels + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
+
+
 def _panel_nodes(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
     xi, wi = _gauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
+    mid, half = _panels(a, b, n_panels)
     nodes = (mid[:, None] + half * xi[None, :]).ravel()
     weights = np.tile(half * wi, n_panels)
     return nodes, weights
@@ -113,30 +117,34 @@ class SmoothingKernel:
         """Transform at s = c + i*t, finite c > 0, for an array of finite ordinates t.
 
         The [0, lo] piece is the closed form lo^s / s.  The transition piece
-        uses composite order-24 Gauss-Legendre panels whose count is tied to
-        max |t|, so the oscillation of t^(s-1) is resolved and the result is
-        accurate to about 1e-14 absolute.
+        is integrated over v = log u, as the integral of phi(e^v) e^(vs) over
+        [log lo, log hi], on n composite order-24 Gauss-Legendre panels whose
+        count is tied to max |t|, so the oscillation e^(ivt) is resolved and
+        the result is accurate to about 1e-14 absolute.  A node is
+        v = mid_p + half * xi_i, so e^(vs) = e^(s mid_p) * e^(s half xi_i)
+        separates: each ordinate costs n + 24 complex exponentials and a
+        (24 x n) matrix product, not 24 * n exponentials.
         """
         ts = np.asarray(ts, dtype=float)
         if not (0 < c < math.inf and np.isfinite(ts).all()):
             raise ValueError("Mellin transform requires finite s with Re(s) > 0")
-        s = c + 1j * ts
-        head = np.exp(s * math.log(self.lo)) / s
+        s = (c + 1j * ts).ravel()
+        log_lo = math.log(self.lo)
         tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
-        n = self._base_panels(tmax)
-        nodes, weights = _panel_nodes(self.lo, self.hi, n, 24)
-        coeff = weights * self.phi_many(nodes)
-        log_nodes = np.log(nodes)
-        out = np.empty(s.shape, dtype=complex)
-        flat_s = s.ravel()
-        flat_out = out.ravel()
+        xi, wi = _gauss(24)
+        mid, half = _panels(log_lo, math.log(self.hi), self._base_panels(tmax))
+        # coeff[i, p] = half * w_i * phi(e^(v_ip))
+        coeff = (half * wi)[:, None] * self.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
+        out = np.exp(s * log_lo) / s
         block = 2048
-        for i in range(0, flat_s.size, block):
-            sb = flat_s[i : i + block]
-            flat_out[i : i + block] = np.exp(np.outer(sb - 1.0, log_nodes)) @ coeff
-        return head + out
+        for i in range(0, s.size, block):
+            sb = s[i : i + block]
+            inner = np.exp(np.outer(sb, half * xi)) @ coeff
+            out[i : i + block] += np.sum(np.exp(np.outer(sb, mid)) * inner, axis=1)
+        return out.reshape(ts.shape)
 
     def _base_panels(self, tmax: float) -> int:
+        # periods of e^(ivt) across [log lo, log hi]
         periods = tmax * math.log(self.hi / self.lo) / (2 * math.pi)
         return max(6, int(math.ceil(2.5 * periods)) + 2)
 

@@ -118,18 +118,20 @@ def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
 def _enumerate(
     query: SmoothCountQuery, ceiling: float | None = None, scale: float = 1.0
 ) -> list[int]:
-    """smooth_values(scale * x, y, q) for a plain-x query, refused when x lies
-    above the enumeration ceiling (SMOOTHLAB_CEILING unless given).
+    """smooth_values(scale * x, y, q) for a plain-x query, refused when the
+    enumeration limit scale * x lies above the enumeration ceiling
+    (SMOOTHLAB_CEILING unless given).
 
     Every exact enumeration behind a query goes through here.
     """
     assert query.x is not None
     cap = enumeration_ceiling() if ceiling is None else ceiling
-    if query.x > cap:
+    limit = scale * query.x
+    if limit > cap:
         raise ThresholdExceededError(
-            f"x={query.x:g} exceeds the enumeration ceiling {cap:g}"
+            f"enumeration limit {limit:g} exceeds the enumeration ceiling {cap:g}"
         )
-    return smooth_values(scale * query.x, query.y, query.q)
+    return smooth_values(limit, query.y, query.q)
 
 
 def count_smooth(query: SmoothCountQuery, ceiling: float | None = None) -> SmoothCount:

@@ -55,6 +55,24 @@ def test_lfun_argument_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "100", "1"], "smoothness bound y must be finite and >= 2"),
+        (["count", "100", "5", "--q", "6", "--a", "2"], "gcd(2, 6) > 1"),
+        (["count", "1e9", "10"], "exceeds the enumeration ceiling"),
+    ],
+    ids=["y_below_2", "residue_not_coprime", "above_ceiling"],
+)
+def test_errors_are_one_line_with_status_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("smoothlab: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_contour(capsys):
     code, out = _run_argv(
         capsys, ["contour", "--x", "100", "--y", "5", "--q", "4", "--chi", "1", "--T", "40"]

@@ -68,6 +68,21 @@ def test_config_validation():
         ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(3,), output_format="xml")
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ((100.0, math.nan), (5.0,)),
+        ((100.0, math.inf), (5.0,)),
+        ((100.0,), (1.5,)),
+        ((100.0,), (5.0, math.nan)),
+    ],
+    ids=["x_nan", "x_inf", "y_below_2", "y_nan"],
+)
+def test_config_rejects_non_finite_x_and_small_y(xs, ys):
+    with pytest.raises(ValueError):
+        ExperimentConfig(xs=xs, ys=ys, qs=(3,))
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

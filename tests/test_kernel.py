@@ -91,7 +91,7 @@ def test_mellin_matches_independent_quadrature(s):
 def _mpmath_mellin(kernel, s: complex) -> complex:
     """30-digit reference: exact plateau piece plus tanh-sinh quadrature of the
     exact integer-coefficient smoothstep over panels of equal width in log t,
-    each shorter than one period of t^(i Im s) while |Im s| <= 145."""
+    at least 32 of them and each at most half a period of t^(i Im s)."""
     with mpmath.workdps(30):
         lo, hi, s = mpmath.mpf(kernel.lo), mpmath.mpf(kernel.hi), mpmath.mpc(s)
 
@@ -99,7 +99,8 @@ def _mpmath_mellin(kernel, s: complex) -> complex:
             u = (hi - t) / (hi - lo)
             return u**10 * mpmath.polyval(_STEP_COEFFS[::-1], u) * t ** (s - 1)
 
-        edges = [lo * (hi / lo) ** (mpmath.mpf(k) / 32) for k in range(33)]
+        n = max(32, math.ceil(abs(s.imag) * math.log(kernel.hi / kernel.lo) / math.pi))
+        edges = [lo * (hi / lo) ** (mpmath.mpf(k) / n) for k in range(n + 1)]
         return complex(lo**s / s + mpmath.quad(integrand, edges))
 
 
@@ -108,6 +109,26 @@ def test_mellin_many_matches_mpmath_quadrature():
     got = KERNEL.mellin_many(0.7, ts)
     want = np.array([_mpmath_mellin(KERNEL, complex(0.7, t)) for t in ts])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.02, 0.3, 0.7, 1.5])
+def test_mellin_many_matches_mpmath_quadrature_high_ordinates(c):
+    ts = np.array([-160.0, 400.0])
+    got = KERNEL.mellin_many(c, ts)
+    want = np.array([_mpmath_mellin(KERNEL, complex(c, t)) for t in ts])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, SmoothingKernel(lo=0.9, hi=1.0)])
+def test_mellin_many_batch_matches_scalar(kernel):
+    # the batch takes its panel count from max |t| = 400, each scalar call from its own |t|
+    ts = np.concatenate([np.linspace(-6.0, 6.0, 40), np.geomspace(6.5, 400.0, 60)])
+    got = kernel.mellin_many(0.9, ts)
+    want = np.array([kernel.mellin(complex(0.9, t)) for t in ts])
+    assert np.max(np.abs(got - want)) <= 1e-13
+    grid = kernel.mellin_many(0.9, ts.reshape(4, 25))
+    assert grid.shape == (4, 25)
+    np.testing.assert_array_equal(grid.ravel(), got)
 
 
 def test_mellin_domain_error():

@@ -104,6 +104,15 @@ def test_ceiling_env_override(monkeypatch):
         count_smooth(SmoothCountQuery(x=100.0, y=5.0))
 
 
+def test_weighted_ceiling_bounds_the_enumeration_limit():
+    # the weighted count enumerates up to KERNEL.hi * x = 200, the plain one to x
+    query = SmoothCountQuery(x=100.0, y=5.0)
+    assert count_smooth(query, ceiling=150.0).value == 34
+    with pytest.raises(ThresholdExceededError):
+        count_smooth_weighted(query, KERNEL, ceiling=150.0)
+    assert count_smooth_weighted(query, KERNEL, ceiling=200.0).exact
+
+
 # -- weighted counts -----------------------------------------------------------
 
 
