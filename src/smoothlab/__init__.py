@@ -52,18 +52,7 @@ from .inequalities import (
     run_suite,
 )
 from .kernel import SmoothingKernel
-from .lseries import (
-    ChebyshevSum,
-    EulerProductValue,
-    OrderRestrictedDeficit,
-    chebyshev_weight,
-    euler_product,
-    log_L_variation,
-    prime_deficit_sum,
-    range_partition,
-    rodosskii2_sum,
-    smoothed_chebyshev,
-)
+from .lseries import EulerProductValue, euler_product
 from .primes import primes_upto
 from .saddle import SaddlePoint, saddle_alpha
 from .smooth_core import (

@@ -84,12 +84,10 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
             print(f"{i} {chi.order} {chi.conductor} {int(chi.is_principal)} {gens}")
         return 0
     if None in (args.s_re, args.s_im, args.q, args.chi_index, args.y):
-        print("lfun: need s-re s-im q chi-index y (or --list-chars q)", file=sys.stderr)
-        return 2
+        raise ValueError("lfun: need s-re s-im q chi-index y (or --list-chars q)")
     chars = character_group(args.q)
     if not (0 <= args.chi_index < len(chars)):
-        print(f"lfun: chi-index out of range [0, {len(chars)})", file=sys.stderr)
-        return 2
+        raise ValueError(f"lfun: chi-index out of range [0, {len(chars)})")
     val = euler_product(complex(args.s_re, args.s_im), chars[args.chi_index], args.y)
     payload = {
         "value_re": val.value.real,
@@ -112,8 +110,7 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
 def _cmd_contour(args: argparse.Namespace) -> int:
     chars = character_group(args.q)
     if not (0 <= args.chi < len(chars)):
-        print(f"contour: chi index out of range [0, {len(chars)})", file=sys.stderr)
-        return 2
+        raise ValueError(f"contour: chi index out of range [0, {len(chars)})")
     kernel = SmoothingKernel(args.kernel_lo, args.kernel_hi)
     spec = ContourSpec(T=args.T, c=args.c, panel_width=args.panel_width, order=args.order)
     res = contour_psi(args.x, chars[args.chi], args.y, kernel, spec)

@@ -65,8 +65,13 @@ def _phase_grid(
     return nodes, weights, kernel.mellin_many(c, nodes)
 
 
+def _max_panel_width(x: float) -> float:
+    """min(1, 2pi/log x): the widest panel that sees at most one period of x^(it)."""
+    return min(1.0, 2 * math.pi / math.log(x)) if x > 1 else 1.0
+
+
 def _resolve_panels(x: float, T: float, spec: ContourSpec) -> int:
-    max_width = min(1.0, 2 * math.pi / math.log(x)) if x > 1 else 1.0
+    max_width = _max_panel_width(x)
     width = spec.panel_width if spec.panel_width is not None else max_width
     if width > max_width * (1 + 1e-12):
         raise ValueError(
@@ -154,8 +159,7 @@ def oscillating_integral(
     if t0 == t1:
         return OscillationResult(0j, 0.0)
     if n_panels is None:
-        width = min(1.0, 2 * math.pi / math.log(x)) if x > 1 else 1.0
-        n_panels = max(4, int(math.ceil((t1 - t0) / width)))
+        n_panels = max(4, int(math.ceil((t1 - t0) / _max_panel_width(x))))
     nodes, weights = _panel_nodes(t0, t1, n_panels, order)
     mell = kernel.mellin_many(beta, nodes)
     value = complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))

@@ -37,10 +37,6 @@ class MajorantHypothesisError(SmoothLabError):
     """Coefficient sequence violates the |a_n| <= A_n hypothesis."""
 
 
-class KRangeError(SmoothLabError):
-    """Range-partition parameter k lies above (log q)/2."""
-
-
 class InvalidSubgroupError(SmoothLabError):
     """Coset experiment received a set that is not a subgroup of (Z/qZ)*."""
 

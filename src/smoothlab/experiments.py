@@ -10,11 +10,13 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from math import gcd
+from os import PathLike
 from pathlib import Path
 
 from .errors import ExportError, InvalidSubgroupError
@@ -39,6 +41,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.xs or not self.ys or not self.qs:
             raise ValueError("xs, ys, qs must be nonempty")
+        if not all(isinstance(v, numbers.Real) for v in (*self.xs, *self.ys, *self.epsilons)):
+            raise ValueError("xs, ys and epsilons must hold numbers")
+        ints = (*self.qs, self.order_threshold)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ints):
+            raise ValueError("qs and order_threshold must be integers")
         if min(self.qs) < 2:
             raise ValueError("every modulus must be >= 2")
         if not all(math.isfinite(x) for x in self.xs):
@@ -49,18 +56,27 @@ class ExperimentConfig:
             raise ValueError("every grid point must satisfy y <= x")
         if any(not 0 <= e <= 1 for e in self.epsilons):
             raise ValueError("epsilons must lie in [0, 1]")
+        if self.output_path is not None and not isinstance(self.output_path, (str, PathLike)):
+            raise ValueError("output_path must be a path")
         if self.output_format not in ("csv", "json"):
             raise ValueError("output_format must be 'csv' or 'json'")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key in ("xs", "ys", "qs", "epsilons"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ValueError(f"config field {key} must be a list")
                 raw[key] = tuple(raw[key])
         return cls(**raw)
 

@@ -46,29 +46,21 @@ def enumeration_ceiling() -> float:
 class SmoothCountQuery:
     """Parameters (x, y, q, a) of a smooth-counting request.
 
-    Exactly one of x and bigx is set; bigx = (base, exponent) stands for
-    x = base**exponent without ever materializing it.
+    Thresholds too large to enumerate (x like 2^1443) go to count_smooth_bigx.
     """
 
-    x: float | None
+    x: float
     y: float
     q: int = 1
     a: int | None = None
-    bigx: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if (self.x is None) == (self.bigx is None):
-            raise ValueError("exactly one of x and bigx must be given")
         if not 2 <= self.y < math.inf:
             raise ValueError("smoothness bound y must be finite and >= 2")
         if self.q < 1:
             raise ValueError("modulus q must be >= 1")
-        if self.x is not None and not 1 <= self.x < math.inf:
+        if self.x is None or not 1 <= self.x < math.inf:
             raise ValueError("threshold x must be finite and >= 1")
-        if self.bigx is not None:
-            base, exponent = self.bigx
-            if base < 2 or exponent < 1:
-                raise ValueError("bigx needs base >= 2 and exponent >= 1")
         if self.a is not None:
             if not (0 <= self.a < self.q):
                 raise ValueError("residue a must lie in [0, q)")
@@ -118,13 +110,12 @@ def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
 def _enumerate(
     query: SmoothCountQuery, ceiling: float | None = None, scale: float = 1.0
 ) -> list[int]:
-    """smooth_values(scale * x, y, q) for a plain-x query, refused when the
-    enumeration limit scale * x lies above the enumeration ceiling
-    (SMOOTHLAB_CEILING unless given).
+    """smooth_values(scale * x, y, q), refused when the enumeration limit
+    scale * x lies above the enumeration ceiling (SMOOTHLAB_CEILING unless
+    given).
 
     Every exact enumeration behind a query goes through here.
     """
-    assert query.x is not None
     cap = enumeration_ceiling() if ceiling is None else ceiling
     limit = scale * query.x
     if limit > cap:
@@ -135,14 +126,7 @@ def _enumerate(
 
 
 def count_smooth(query: SmoothCountQuery, ceiling: float | None = None) -> SmoothCount:
-    """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q).
-
-    Queries carrying bigx are routed to the huge-x lattice counter.
-    """
-    if query.bigx is not None:
-        if query.a is not None:
-            raise ValueError("residue classes require a plain-x query")
-        return count_smooth_bigx(query.bigx, query.y, query.q)
+    """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
     vals = _enumerate(query, ceiling)
     if query.a is None:
         return SmoothCount(len(vals), exact=True)
@@ -162,8 +146,6 @@ def count_smooth_weighted(
     character kills residues sharing a factor with q).  Without: sum of
     phi(n/x) over the class n = a (mod q), or over all n coprime to q.
     """
-    if query.bigx is not None:
-        raise ValueError("weighted counts require a plain-x query")
     if chi is not None:
         if chi.modulus != query.q:
             raise ModulusMismatchError(

@@ -21,7 +21,6 @@ from smoothlab import (
     calculus_grid,
     character_group,
     contour_psi,
-    count_smooth,
     count_smooth_bigx,
     count_smooth_weighted,
     ennola_estimate,

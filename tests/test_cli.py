@@ -61,8 +61,18 @@ def test_lfun_argument_errors(capsys):
         (["count", "100", "1"], "smoothness bound y must be finite and >= 2"),
         (["count", "100", "5", "--q", "6", "--a", "2"], "gcd(2, 6) > 1"),
         (["count", "1e9", "10"], "exceeds the enumeration ceiling"),
+        (["experiment", "--config", "/nonexistent.json"], "cannot read config /nonexistent.json"),
+        (["lfun", "2", "0"], "lfun: need s-re s-im q chi-index y"),
+        (["lfun", "2", "0", "5", "9", "3"], "lfun: chi-index out of range [0, 4)"),
+        (
+            ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "9", "--T", "80"],
+            "contour: chi index out of range [0, 4)",
+        ),
     ],
-    ids=["y_below_2", "residue_not_coprime", "above_ceiling"],
+    ids=[
+        "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
+        "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
+    ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):
     assert main(argv) == 2

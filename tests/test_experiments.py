@@ -2,7 +2,6 @@
 
 import json
 import math
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +95,37 @@ def test_config_from_json_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"xs": [100.0], "ys": [5.0], "qs": [3], "kernel_lo": 0.5}))
     with pytest.raises(ValueError, match="unknown config keys: kernel_lo"):
+        ExperimentConfig.from_json(path)
+
+
+_GRID = {"xs": [100.0], "ys": [5.0], "qs": [3]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config"),
+        (json.dumps({**_GRID, "xs": 100.0}), "config field xs must be a list"),
+        (json.dumps({**_GRID, "epsilons": 0.1}), "config field epsilons must be a list"),
+        (json.dumps([_GRID]), "a config must be a JSON object"),
+        (json.dumps({**_GRID, "qs": [3.5]}), "qs and order_threshold must be integers"),
+        (json.dumps({**_GRID, "order_threshold": "2"}), "qs and order_threshold must be integers"),
+        (json.dumps({**_GRID, "order_threshold": True}), "qs and order_threshold must be integers"),
+        (json.dumps({**_GRID, "xs": ["100"]}), "xs, ys and epsilons must hold numbers"),
+        (json.dumps({**_GRID, "output_path": 2}), "output_path must be a path"),
+        ("{", "Expecting property name"),
+    ],
+    ids=[
+        "missing_file", "xs_not_list", "epsilons_not_list", "top_level_list", "q_not_int",
+        "order_threshold_str", "order_threshold_bool", "x_str", "output_path_int",
+        "malformed_json",
+    ],
+)
+def test_bad_config_json_raises_value_error(tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_json(path)
 
 

@@ -1,31 +1,19 @@
-"""Truncated Euler products, Chebyshev sums, deficit sums, range tags."""
+"""Truncated Euler products, at a point and along a vertical line."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from smoothlab import (
     SmoothingKernel,
     character_group,
-    chebyshev_weight,
     euler_product,
-    log_L_variation,
-    prime_deficit_sum,
     principal_character,
-    range_partition,
-    rodosskii2_sum,
-    smoothed_chebyshev,
     smooth_values,
 )
-from smoothlab.errors import KRangeError, NearPoleError
-from smoothlab.lseries import (
-    WEIGHT_P_ALPHA,
-    chebyshev_cutoff,
-    euler_product_many,
-)
+from smoothlab.errors import NearPoleError
+from smoothlab.lseries import euler_product_many
 
 
 def test_trivial_products():
@@ -120,144 +108,3 @@ def test_vectorized_line_values():
     sca = np.array([euler_product(0.9 + 1j * t, chi, 40.0).value for t in ts])
     assert np.max(np.abs(vec - sca)) < 1e-12
 
-
-# -- smoothed Chebyshev sums ------------------------------------------------------
-
-
-def test_cutoff_limits():
-    assert chebyshev_cutoff(10.0, 0.0, 7) == 10.0
-    assert chebyshev_cutoff(10.0, 1e9, 7) == 2.0
-    assert chebyshev_cutoff(2.0, 3.0, 5) == 2.0  # y^(1/y) < 2 for y >= 2
-
-
-def test_weight_rows():
-    assert chebyshev_weight(1, 10.0, 4.0) == 1.0
-    assert chebyshev_weight(10, 10.0, 4.0) == 1.0
-    assert chebyshev_weight(40, 10.0, 4.0) == 0.0
-    mid = chebyshev_weight(20, 10.0, 4.0)
-    assert mid == pytest.approx(1 - math.log(2.0) / math.log(4.0))
-
-
-def test_forced_cutoff_two_direct_sum():
-    # enormous k forces R = 2; the sum is then over prime powers <= 2y
-    y = 10.0
-    got = smoothed_chebyshev(2.0, principal_character(1), y, 1e9, 7)
-    assert got.cutoff == 2.0
-    want = 0.0
-    for p in (2, 3, 5, 7, 11, 13, 17, 19):
-        n = p
-        while n <= 20:
-            want += chebyshev_weight(n, y, 2.0) * math.log(p) / n**2
-            n *= p
-    assert got.value == pytest.approx(want, abs=1e-14)
-
-
-def test_chebyshev_character_weights():
-    chi = character_group(4)[1]
-    got = smoothed_chebyshev(1.0, chi, 6.0, 0.0, 5)
-    want = 0.0j
-    cutoff = got.cutoff
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        n = p
-        while n <= cutoff * 6.0:
-            want += chebyshev_weight(n, 6.0, cutoff) * math.log(p) * chi(n) / n
-            n *= p
-    assert got.value == pytest.approx(want, abs=1e-12)
-
-
-def test_chebyshev_preconditions():
-    with pytest.raises(ValueError):
-        smoothed_chebyshev(0.0, principal_character(1), 10.0, 0.0, 7)
-    with pytest.raises(ValueError):
-        smoothed_chebyshev(2.0, principal_character(1), 10.0, 0.0, 2)
-
-
-# -- prime deficit sums -------------------------------------------------------------
-
-
-def test_principal_at_t_zero_vanishes():
-    assert prime_deficit_sum(principal_character(7), 0.0, 50.0) == 0.0
-
-
-def test_real_character_hand_sum():
-    chi3 = character_group(3)[1]
-    got = prime_deficit_sum(chi3, 0.0, 25.0, lo=5.0)
-    want = 2 * sum(math.log(p) / p for p in (5, 11, 17, 23))
-    assert got == pytest.approx(want, abs=1e-14)
-
-
-def test_cosine_identity_for_principal():
-    t, y = 0.7, 60.0
-    got = prime_deficit_sum(
-        principal_character(1), t, y, weight=WEIGHT_P_ALPHA, alpha=1.0
-    )
-    want = sum(
-        (1 - math.cos(t * math.log(p))) / p
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
-    )
-    assert got == pytest.approx(want, abs=1e-13)
-
-
-@given(
-    t=st.floats(min_value=-20, max_value=20),
-    y=st.floats(min_value=6, max_value=80),
-    qi=st.integers(min_value=1, max_value=10),
-)
-def test_nonnegative_and_additive_over_ranges(t, y, qi):
-    chars = character_group(qi)
-    chi = chars[min(1, len(chars) - 1)]
-    mid = max(2.0, y / 2)
-    full = prime_deficit_sum(chi, t, y, lo=2.0)
-    low = prime_deficit_sum(chi, t, mid, lo=2.0) if mid >= 2 else 0.0
-    high = prime_deficit_sum(chi, t, y, lo=math.nextafter(mid, y))
-    assert full >= -1e-15
-    assert full == pytest.approx(low + high, abs=1e-10)
-
-
-def test_order_restricted_sum_delegates():
-    chi = character_group(5)[1]
-    rep = rodosskii2_sum(chi, 0.4, 25.0, 2)
-    assert rep.order_exceeds  # order 4 > 2
-    assert rep.value == pytest.approx(
-        prime_deficit_sum(chi, 0.4, 25.0, lo=5.0), abs=1e-15
-    )
-    assert rep.reference_line == pytest.approx(math.log(25.0) / 45.0)
-    rep0 = rodosskii2_sum(principal_character(5), 0.0, 25.0, 2)
-    assert not rep0.order_exceeds
-    assert rep0.value == 0.0
-
-
-# -- log-variation and range partition ----------------------------------------------
-
-
-def test_log_variation_zero_at_equal_points():
-    assert log_L_variation(principal_character(1), 3.0, 2.0, 2.0, 0.0) == 0.0
-
-
-def test_log_variation_hand_value():
-    got = log_L_variation(principal_character(1), 3.0, 2.0, 1.9, 0.0)
-    want = abs(
-        (-math.log(1 - 2.0**-1.9) - math.log(1 - 3.0**-1.9))
-        - (-math.log(1 - 0.25) - math.log(1 - 1 / 9))
-    )
-    assert got == pytest.approx(want, abs=1e-14)
-
-
-def test_log_variation_mean_value_bound():
-    chi = character_group(7)[1]
-    y, alpha, sigma, t = 40.0, 1.2, 0.9, 1.3
-    got = log_L_variation(chi, y, alpha, sigma, t)
-    grid = np.linspace(sigma, alpha, 64)
-    sup = max(abs(euler_product(s + 1j * t, chi, y).log_deriv) for s in grid)
-    assert got <= (alpha - sigma) * sup * (1 + 1e-6)
-
-
-def test_range_partition_rules():
-    assert range_partition(0.0, 9.0, 100, 1.0, 1.0) == "problem"
-    assert range_partition(3.0, 9.0, 10**6, 1.0, 1.0) == "basic"  # tie at sqrt(u)
-    assert range_partition(2.0, 25.0, 10**6, 1.0, 1.0) == "rodosskii"
-    # tie at the lower cut goes up as well
-    low_cut = 4 * 1.0 * math.log(1.0) + 1.0
-    assert range_partition(low_cut, 25.0, 10**6, 1.0, 1.0) == "rodosskii"
-    with pytest.raises(KRangeError):
-        range_partition(10.0, 9.0, 100, 1.0, 1.0)

@@ -16,7 +16,6 @@ from smoothlab import (
     count_smooth_weighted,
     ennola_estimate,
     is_smooth,
-    principal_character,
     smooth_values,
 )
 from smoothlab.errors import (
@@ -87,8 +86,6 @@ def test_query_validation():
         SmoothCountQuery(x=100.0, y=5.0, q=6, a=2)
     with pytest.raises(ValueError):
         SmoothCountQuery(x=100.0, y=1.5)
-    with pytest.raises(ValueError):
-        SmoothCountQuery(x=100.0, y=5.0, bigx=(2, 10))
     with pytest.raises(ValueError):
         SmoothCountQuery(x=None, y=5.0)
 
@@ -192,11 +189,6 @@ def test_bigx_boundary_ties_counted():
 def test_bigx_too_many_primes():
     with pytest.raises(TooManyPrimesError):
         count_smooth_bigx((2, 50), 150.0)
-
-
-def test_bigx_routed_through_count_smooth():
-    q = SmoothCountQuery(x=None, y=3.0, bigx=(2, 10))
-    assert count_smooth(q).value == 41
 
 
 # -- Ennola estimate ---------------------------------------------------------------
