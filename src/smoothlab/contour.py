@@ -26,7 +26,7 @@ DEFAULT_ORDER = 16
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Abscissa, truncation height, panel width and quadrature order.
+    """Abscissa, truncation height (at least 1), panel width and quadrature order.
 
     c defaults to the saddle abscissa alpha(x, y); panel_width defaults to
     min(1, 2pi/log x) so each panel sees at most one oscillation period.
@@ -38,8 +38,8 @@ class ContourSpec:
     order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
-        if not 0 < self.T < math.inf:
-            raise ValueError("truncation height T must be finite and positive")
+        if not 1 <= self.T < math.inf:
+            raise ValueError("truncation height T must be finite and >= 1")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("abscissa must be finite and positive")
         if self.panel_width is not None and not 0 < self.panel_width < math.inf:

@@ -3,9 +3,10 @@
 The unit group (Z/qZ)* is split by CRT into cyclic pieces (primitive roots
 at odd prime powers, <-1, 5> at powers of two), and a character is the tuple
 of its exponents against those generators.  A discrete-log table per
-prime-power factor makes evaluation a dictionary lookup, and character
-values are carried as exact fractions of a full turn, so products,
-conjugates and long factor products do not drift.
+prime-power factor, one integer row per generator indexed by residue, makes
+evaluation an array lookup, and character values are carried as exact
+fractions of a full turn, so products, conjugates and long factor products
+do not drift.
 """
 
 from __future__ import annotations
@@ -51,13 +52,29 @@ def _primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class _Component:
-    """One prime-power factor of the modulus with its generators and dlogs."""
+    """One prime-power factor of the modulus with its generators and dlogs.
+
+    dlog has one int64 row per generator, indexed by residue mod the
+    component's modulus: row i holds the exponent of gens[i] in that residue
+    (0 off the units).
+    """
 
     modulus: int
     prime: int
     gens: tuple[int, ...]
     orders: tuple[int, ...]
-    dlog: dict[int, tuple[int, ...]] = field(repr=False)
+    dlog: np.ndarray = field(repr=False, compare=False)
+
+
+def _powers(g: int, n: int, m: int) -> np.ndarray:
+    """g^0, ..., g^(n-1) mod m as an int64 array, doubling the run each step.
+
+    Every product stays below m^2 <= MAX_MODULUS^2, well inside int64.
+    """
+    out = np.ones(1, dtype=np.int64)
+    while out.size < n:
+        out = np.concatenate([out, out * pow(g, out.size, m) % m])
+    return out[:n]
 
 
 def _build_component(p: int, e: int) -> _Component | None:
@@ -66,23 +83,19 @@ def _build_component(p: int, e: int) -> _Component | None:
         if e == 1:
             return None
         if e == 2:
-            return _Component(4, 2, (3,), (2,), {1: (0,), 3: (1,)})
-        table: dict[int, tuple[int, ...]] = {}
-        v = 1
-        for b in range(pk // 4):
-            table[v] = (0, b)
-            table[pk - v] = (1, b)
-            v = v * 5 % pk
+            return _Component(4, 2, (3,), (2,), np.array([[0, 0, 0, 1]], dtype=np.int64))
+        # the units mod 2^e are +-5^b for 0 <= b < 2^e / 4
+        fives = _powers(5, pk // 4, pk)
+        table = np.zeros((2, pk), dtype=np.int64)
+        table[0, pk - fives] = 1
+        table[1, fives] = table[1, pk - fives] = np.arange(pk // 4)
         return _Component(pk, 2, (pk - 1, 5), (2, pk // 4), table)
     g = _primitive_root(p)
     if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
     order = pk - pk // p
-    table = {}
-    v = 1
-    for j in range(order):
-        table[v] = (j,)
-        v = v * g % pk
+    table = np.zeros((1, pk), dtype=np.int64)
+    table[0, _powers(g, order, pk)] = np.arange(order)
     return _Component(pk, p, (g % pk,), (order,), table)
 
 
@@ -94,13 +107,6 @@ class _UnitGroup:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(d for comp in self.components for d in comp.orders)
-
-    @cached_property
-    def phi(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
 
     @cached_property
     def lifted_generators(self) -> tuple[int, ...]:
@@ -116,28 +122,19 @@ class _UnitGroup:
                     gens.append((1 + rest * ((g - 1) * inv % comp.modulus)) % self.q)
         return tuple(gens)
 
-    @cached_property
-    def dlog_columns(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """Per generator: its component's modulus, and the dlog against it as
-        an int array indexed by residue mod that modulus (0 off the units)."""
-        out = []
-        for comp in self.components:
-            residues = np.fromiter(comp.dlog, dtype=np.int64, count=len(comp.dlog))
-            logs = np.array(list(comp.dlog.values()), dtype=np.int64)
-            table = np.zeros((len(comp.gens), comp.modulus), dtype=np.int64)
-            table[:, residues] = logs.T
-            out.extend((comp.modulus, column) for column in table)
-        return tuple(out)
-
     def dlog_of(self, n: int) -> tuple[int, ...]:
-        out: tuple[int, ...] = ()
+        out: list[int] = []
         for comp in self.components:
-            out += comp.dlog[n % comp.modulus]
-        return out
+            out += comp.dlog[:, n % comp.modulus].tolist()
+        return tuple(out)
 
 
 @lru_cache(maxsize=128)
 def _unit_group(q: int) -> _UnitGroup:
+    if q < 1:
+        raise ValueError("modulus must be a positive integer")
+    if q > MAX_MODULUS:
+        raise ModulusTooLargeError(f"modulus {q} exceeds table bound {MAX_MODULUS}")
     comps = tuple(c for p, e in _factorize(q) if (c := _build_component(p, e)) is not None)
     return _UnitGroup(q, comps)
 
@@ -222,9 +219,10 @@ class DirichletCharacter:
         q, group = self.modulus, self.group
         big_l = lcm(*group.orders)
         residues = np.arange(q)
+        rows = ((comp.modulus, row) for comp in group.components for row in comp.dlog)
         k = np.zeros(q, dtype=np.int64)
-        for (modulus, dlog), m, d in zip(group.dlog_columns, self.exponents, group.orders):
-            k += (m * dlog[residues % modulus] % d) * (big_l // d)
+        for (modulus, dlog), m, d in zip(rows, self.exponents, group.orders):
+            k += ((m * dlog % d) * (big_l // d))[residues % modulus]
         units = np.gcd(residues, q) == 1
         distinct, where = np.unique(k[units] % big_l, return_inverse=True)
         values = [
@@ -272,10 +270,6 @@ def _local_conductor(comp: _Component, exps: tuple[int, ...]) -> int:
 
 def character_group(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, principal first, in generator-exponent order."""
-    if q < 1:
-        raise ValueError("modulus must be a positive integer")
-    if q > MAX_MODULUS:
-        raise ModulusTooLargeError(f"modulus {q} exceeds table bound {MAX_MODULUS}")
     group = _unit_group(q)
     return [
         DirichletCharacter(q, exps, group)
@@ -284,10 +278,6 @@ def character_group(q: int) -> list[DirichletCharacter]:
 
 
 def principal_character(q: int) -> DirichletCharacter:
-    if q < 1:
-        raise ValueError("modulus must be a positive integer")
-    if q > MAX_MODULUS:
-        raise ModulusTooLargeError(f"modulus {q} exceeds table bound {MAX_MODULUS}")
     group = _unit_group(q)
     return DirichletCharacter(q, (0,) * len(group.orders), group)
 

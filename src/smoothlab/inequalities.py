@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MajorantHypothesisError, NearPoleError
+from .errors import MajorantHypothesisError
 from .kernel import SmoothingKernel, _panel_nodes
 from .lseries import _factor_matrices
 from .primes import primes_upto
@@ -198,20 +198,24 @@ def _segment_quantities(
     return lhs, sup_term, gg, g2, g_at_beta
 
 
+def _check_lemma(
+    spec: RandomEulerSpec, F, split_at: float | None, label: str
+) -> InequalityReport:
+    lhs, m_sup, gg, g2, g_beta = _segment_quantities(spec, F, split_at)
+    rhs = m_sup * (g_beta + math.sqrt(gg * g2))
+    return _report(lhs, rhs, spec.seed, label)
+
+
 def check_lemma1(spec: RandomEulerSpec, F) -> InequalityReport:
     """|int G F| <= M (|G(beta)| + sqrt(int |G'/G|^2 int |G|^2)) on the segment,
     M the supremum of sub-segment integrals of F."""
-    lhs, m_sup, gg, g2, g_beta = _segment_quantities(spec, F, split_at=None)
-    rhs = m_sup * (g_beta + math.sqrt(gg * g2))
-    return _report(lhs, rhs, spec.seed, "lemma1")
+    return _check_lemma(spec, F, None, "lemma1")
 
 
 def check_lemma2(spec: RandomEulerSpec, F) -> InequalityReport:
     """Variant with the head product over p <= sqrt(y) and the tail product
     over sqrt(y) < p <= y folded into the supremum factor."""
-    lhs, m_sup, gg, g2, g_beta = _segment_quantities(spec, F, split_at=math.sqrt(spec.y))
-    rhs = m_sup * (g_beta + math.sqrt(gg * g2))
-    return _report(lhs, rhs, spec.seed, "lemma2")
+    return _check_lemma(spec, F, math.sqrt(spec.y), "lemma2")
 
 
 # -- majorant principle -----------------------------------------------------------
@@ -350,14 +354,7 @@ def _draw_euler_instance(seed: int) -> tuple[RandomEulerSpec, object]:
 def _run_one(suite: str, seed: int) -> InequalityReport:
     if suite in ("lemma1", "lemma2"):
         check = check_lemma1 if suite == "lemma1" else check_lemma2
-        attempt = seed
-        for _ in range(5):
-            spec, F = _draw_euler_instance(attempt)
-            try:
-                return check(spec, F)
-            except NearPoleError:
-                attempt += 1_000_000  # resample
-        raise NearPoleError(f"persistent near-pole draws starting at seed {seed}")
+        return check(*_draw_euler_instance(seed))
     rng = np.random.default_rng(seed)
     if suite == "majorant":
         n = int(rng.integers(1, MAX_MAJORANT_TERMS + 1))

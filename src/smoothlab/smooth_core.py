@@ -107,16 +107,13 @@ def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
     return vals
 
 
-def _enumerate(
-    query: SmoothCountQuery, ceiling: float | None = None, scale: float = 1.0
-) -> list[int]:
+def _enumerate(query: SmoothCountQuery, scale: float = 1.0) -> list[int]:
     """smooth_values(scale * x, y, q), refused when the enumeration limit
-    scale * x lies above the enumeration ceiling (SMOOTHLAB_CEILING unless
-    given).
+    scale * x lies above enumeration_ceiling() (set by SMOOTHLAB_CEILING).
 
     Every exact enumeration behind a query goes through here.
     """
-    cap = enumeration_ceiling() if ceiling is None else ceiling
+    cap = enumeration_ceiling()
     limit = scale * query.x
     if limit > cap:
         raise ThresholdExceededError(
@@ -125,9 +122,9 @@ def _enumerate(
     return smooth_values(limit, query.y, query.q)
 
 
-def count_smooth(query: SmoothCountQuery, ceiling: float | None = None) -> SmoothCount:
+def count_smooth(query: SmoothCountQuery) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
-    vals = _enumerate(query, ceiling)
+    vals = _enumerate(query)
     if query.a is None:
         return SmoothCount(len(vals), exact=True)
     a, q = query.a, query.q
@@ -138,7 +135,6 @@ def count_smooth_weighted(
     query: SmoothCountQuery,
     kernel: SmoothingKernel,
     chi: DirichletCharacter | None = None,
-    ceiling: float | None = None,
 ) -> SmoothCount:
     """Kernel-weighted smooth count.
 
@@ -154,7 +150,7 @@ def count_smooth_weighted(
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
     x, q = query.x, query.q
-    vals = np.array(_enumerate(query, ceiling, scale=kernel.hi), dtype=np.int64)
+    vals = np.array(_enumerate(query, scale=kernel.hi), dtype=np.int64)
     if vals.size == 0:
         return SmoothCount(0j if chi is not None else 0.0, exact=True)
     weights = kernel.phi_many(vals / x)

@@ -49,6 +49,56 @@ def test_lfun_table_and_value(capsys):
     assert code == 0 and json.loads(out)["value_re"] == pytest.approx(1.125)
 
 
+# The exact --list-chars text at moduli covering both power-of-two branches
+# (the lone generator 3 mod 4, the pair -1, 5 mod 8), an odd prime power and
+# a product of the three kinds.
+LIST_CHARS_GOLDEN = {
+    4: (
+        "modulus 4: 2 characters\n"
+        "index order conductor principal values_on_generators\n"
+        "0 1 1 1 chi(3)=e(2pi*0)\n"
+        "1 2 4 0 chi(3)=e(2pi*1/2)\n"
+    ),
+    8: (
+        "modulus 8: 4 characters\n"
+        "index order conductor principal values_on_generators\n"
+        "0 1 1 1 chi(7)=e(2pi*0) chi(5)=e(2pi*0)\n"
+        "1 2 8 0 chi(7)=e(2pi*0) chi(5)=e(2pi*1/2)\n"
+        "2 2 4 0 chi(7)=e(2pi*1/2) chi(5)=e(2pi*0)\n"
+        "3 2 8 0 chi(7)=e(2pi*1/2) chi(5)=e(2pi*1/2)\n"
+    ),
+    9: (
+        "modulus 9: 6 characters\n"
+        "index order conductor principal values_on_generators\n"
+        "0 1 1 1 chi(2)=e(2pi*0)\n"
+        "1 6 9 0 chi(2)=e(2pi*1/6)\n"
+        "2 3 9 0 chi(2)=e(2pi*1/3)\n"
+        "3 2 3 0 chi(2)=e(2pi*1/2)\n"
+        "4 3 9 0 chi(2)=e(2pi*2/3)\n"
+        "5 6 9 0 chi(2)=e(2pi*5/6)\n"
+    ),
+    24: (
+        "modulus 24: 8 characters\n"
+        "index order conductor principal values_on_generators\n"
+        "0 1 1 1 chi(7)=e(2pi*0) chi(13)=e(2pi*0) chi(17)=e(2pi*0)\n"
+        "1 2 3 0 chi(7)=e(2pi*0) chi(13)=e(2pi*0) chi(17)=e(2pi*1/2)\n"
+        "2 2 8 0 chi(7)=e(2pi*0) chi(13)=e(2pi*1/2) chi(17)=e(2pi*0)\n"
+        "3 2 24 0 chi(7)=e(2pi*0) chi(13)=e(2pi*1/2) chi(17)=e(2pi*1/2)\n"
+        "4 2 4 0 chi(7)=e(2pi*1/2) chi(13)=e(2pi*0) chi(17)=e(2pi*0)\n"
+        "5 2 12 0 chi(7)=e(2pi*1/2) chi(13)=e(2pi*0) chi(17)=e(2pi*1/2)\n"
+        "6 2 8 0 chi(7)=e(2pi*1/2) chi(13)=e(2pi*1/2) chi(17)=e(2pi*0)\n"
+        "7 2 24 0 chi(7)=e(2pi*1/2) chi(13)=e(2pi*1/2) chi(17)=e(2pi*1/2)\n"
+    ),
+}
+
+
+def test_list_chars_golden(capsys):
+    for q, want in LIST_CHARS_GOLDEN.items():
+        code, out = _run_argv(capsys, ["lfun", "--list-chars", str(q)])
+        assert code == 0
+        assert out == want
+
+
 def test_lfun_argument_errors(capsys):
     assert main(["lfun", "2", "0"]) == 2
     assert main(["lfun", "2", "0", "5", "9", "3"]) == 2

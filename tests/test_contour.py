@@ -46,6 +46,12 @@ def test_non_finite_inputs_rejected(build, bad):
         build(bad)
 
 
+def test_truncation_height_below_one_rejected():
+    # truncation_bound needs T >= 1, so the spec refuses a smaller T before any quadrature
+    with pytest.raises(ValueError, match="T must be finite and >= 1"):
+        ContourSpec(T=0.9)
+
+
 def test_trivial_character_reconstruction():
     chi = principal_character(1)
     res = contour_psi(100.0, chi, 5.0, KERNEL, ContourSpec(T=50.0))

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothlab import character_group, principal_character
+from smoothlab.dirichlet import _unit_group
 from smoothlab.errors import ModulusTooLargeError
 
 
@@ -156,6 +157,22 @@ def test_value_table_is_chi_bitwise():
         chi = chars[index]
         table = chi.value_table()
         assert _bits(table[residues]) == _bits(chi(r) for r in residues)
+
+
+def test_dlog_inverts_the_generators():
+    # chi(n) and value_table read the same discrete-log table, so their
+    # agreement does not check it; rebuilding each unit from its logs does.
+    for q in (*range(1, 61), 2**12, 3**8, 5**5, 99_000):
+        group = _unit_group(q)
+        for r in range(q):
+            if gcd(r, q) != 1:
+                continue
+            logs = group.dlog_of(r)
+            assert all(0 <= l < d for l, d in zip(logs, group.orders))
+            product = 1 % q
+            for g, l in zip(group.lifted_generators, logs):
+                product = product * pow(g, l, q) % q
+            assert product == r, (q, r)
 
 
 def test_modulus_too_large():

@@ -90,9 +90,10 @@ def test_query_validation():
         SmoothCountQuery(x=None, y=5.0)
 
 
-def test_enumeration_ceiling_enforced():
+def test_enumeration_ceiling_enforced(monkeypatch):
+    monkeypatch.setenv("SMOOTHLAB_CEILING", "5")
     with pytest.raises(ThresholdExceededError):
-        count_smooth(SmoothCountQuery(x=10.0, y=5.0), ceiling=5.0)
+        count_smooth(SmoothCountQuery(x=10.0, y=5.0))
 
 
 def test_ceiling_env_override(monkeypatch):
@@ -101,13 +102,15 @@ def test_ceiling_env_override(monkeypatch):
         count_smooth(SmoothCountQuery(x=100.0, y=5.0))
 
 
-def test_weighted_ceiling_bounds_the_enumeration_limit():
+def test_weighted_ceiling_bounds_the_enumeration_limit(monkeypatch):
     # the weighted count enumerates up to KERNEL.hi * x = 200, the plain one to x
     query = SmoothCountQuery(x=100.0, y=5.0)
-    assert count_smooth(query, ceiling=150.0).value == 34
+    monkeypatch.setenv("SMOOTHLAB_CEILING", "150")
+    assert count_smooth(query).value == 34
     with pytest.raises(ThresholdExceededError):
-        count_smooth_weighted(query, KERNEL, ceiling=150.0)
-    assert count_smooth_weighted(query, KERNEL, ceiling=200.0).exact
+        count_smooth_weighted(query, KERNEL)
+    monkeypatch.setenv("SMOOTHLAB_CEILING", "200")
+    assert count_smooth_weighted(query, KERNEL).exact
 
 
 # -- weighted counts -----------------------------------------------------------
