@@ -47,11 +47,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     value = result.value
     if args.json:
         payload = {"x": args.x, "y": args.y, "q": args.q, "a": args.a, "exact": result.exact}
-        if isinstance(value, complex):
-            payload["value_re"], payload["value_im"] = value.real, value.imag
-        else:
-            payload["value"] = value
-        print(_dump(payload))
+        print(_dump({**payload, "value": value}))
     else:
         print(f"count(x={args.x:g}, y={args.y:g}, q={args.q}, a={args.a}) = {value}")
     return 0

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -268,13 +270,39 @@ def _local_conductor(comp: _Component, exps: tuple[int, ...]) -> int:
     return p ** (e + 1)
 
 
-def character_group(q: int) -> list[DirichletCharacter]:
-    """All phi(q) characters mod q, principal first, in generator-exponent order."""
-    group = _unit_group(q)
-    return [
-        DirichletCharacter(q, exps, group)
-        for exps in itertools.product(*[range(d) for d in group.orders])
-    ]
+class _Characters(Sequence):
+    """The characters of one unit group, each built when it is asked for.
+
+    Index i holds the exponents of i written in mixed radix over the
+    generator orders, the last generator's digit varying fastest.
+    """
+
+    def __init__(self, group: _UnitGroup) -> None:
+        self._group = group
+
+    def __len__(self) -> int:
+        return prod(self._group.orders)
+
+    def __getitem__(self, index: int) -> DirichletCharacter:
+        i = operator.index(index)
+        if not 0 <= i < len(self):
+            raise IndexError(f"character index {i} out of range [0, {len(self)})")
+        exps = []
+        for d in reversed(self._group.orders):
+            i, m = divmod(i, d)
+            exps.append(m)
+        return DirichletCharacter(self._group.q, tuple(reversed(exps)), self._group)
+
+    def __iter__(self) -> Iterator[DirichletCharacter]:
+        group = self._group
+        for exps in itertools.product(*[range(d) for d in group.orders]):
+            yield DirichletCharacter(group.q, exps, group)
+
+
+def character_group(q: int) -> Sequence[DirichletCharacter]:
+    """All phi(q) characters mod q, principal first, in generator-exponent
+    order, as a read-only sequence that builds each character on request."""
+    return _Characters(_unit_group(q))
 
 
 def principal_character(q: int) -> DirichletCharacter:

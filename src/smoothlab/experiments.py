@@ -11,13 +11,13 @@ import itertools
 import json
 import math
 import numbers
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from math import gcd
 from os import PathLike
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ExportError, InvalidSubgroupError
 from .saddle import saddle_alpha
@@ -106,19 +106,19 @@ class UnsmoothingRecord:
 
 
 def _class_grid(config: ExperimentConfig):
-    """Per grid point: q, the class counts, the total (>= 1, since n = 1 is
-    always counted), the units mod q, and a ResultRecord builder carrying the
-    point, the equidistributed share and the saddle frame."""
+    """Per grid point: q, the class counts indexed by residue, the total (>= 1,
+    since n = 1 is always counted), the units mod q, and a ResultRecord builder
+    carrying the point, the equidistributed share and the saddle frame."""
     for x, y, q in itertools.product(config.xs, config.ys, config.qs):
         values = _enumerate(SmoothCountQuery(x=x, y=y, q=q))
         units = [a for a in range(q) if gcd(a, q) == 1]
         sp = saddle_alpha(x, y)
         v = math.log(x) / math.log(q)
         record = partial(
-            ResultRecord, x=x, y=y, q=q, expected=len(values) / len(units),
+            ResultRecord, x=x, y=y, q=q, expected=values.size / len(units),
             u=sp.u, v=v, w=min(v, y), alpha=sp.alpha,
         )
-        yield q, Counter(n % q for n in values), len(values), units, record
+        yield q, np.bincount(values % q, minlength=q).tolist(), values.size, units, record
 
 
 def run_equidistribution(config: ExperimentConfig) -> list[ResultRecord]:
@@ -131,7 +131,7 @@ def run_equidistribution(config: ExperimentConfig) -> list[ResultRecord]:
     for _, counts, total, units, record in _class_grid(config):
         phi = len(units)
         for a in units:
-            c = counts.get(a, 0)
+            c = counts[a]
             records.append(record(a=a, count=c, discrepancy=abs(c * phi / total - 1.0)))
     return records
 
@@ -194,7 +194,7 @@ def run_coset(
             seen.update(coset)
             for i, a1 in enumerate(coset):
                 for a2 in coset[i + 1 :]:
-                    diff = counts.get(a1, 0) - counts.get(a2, 0)
+                    diff = counts[a1] - counts[a2]
                     label = f"{coset[0]}H:{a1}/{a2}"
                     records.append(record(a=label, count=diff, discrepancy=abs(diff) * phi / total))
     return records
@@ -204,10 +204,11 @@ def _unsmoothing_ratios(x: float, y: float, q: int, epsilons: tuple[float, ...])
     """unsmoothing_ratio at every epsilon, from one enumeration up to x."""
     if any(not 0 <= eps <= 1 for eps in epsilons):
         raise ValueError("epsilon must lie in [0, 1]")
-    values = sorted(_enumerate(SmoothCountQuery(x=x, y=y, q=q)))
-    total = len(values)
-    # bisect compares each integer n with the float threshold exactly.
-    return [(total - bisect_right(values, (1 - eps) * x)) / total for eps in epsilons]
+    values = np.sort(_enumerate(SmoothCountQuery(x=x, y=y, q=q)))
+    total = values.size
+    thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
+    kept = np.searchsorted(values, thresholds, side="right").tolist()
+    return [(total - k) / total for k in kept]
 
 
 def unsmoothing_ratio(x: float, y: float, q: int, epsilon: float) -> float:

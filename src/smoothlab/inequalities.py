@@ -138,19 +138,17 @@ _SEG_CAP = 8192
 
 
 def _segment_quantities(
-    spec: RandomEulerSpec, F, split_at: float | None
+    spec: RandomEulerSpec, F, split_at: float
 ) -> tuple[float, float, float, float, float]:
     """Refining quadrature of all segment integrals entering the bounds.
 
     Returns (lhs, sup_term, gg_integral, g2_integral, g_at_beta) where the
-    sup_term is M (split_at None) or M* (tail product over p > split_at
-    folded into the supremum), and g2/g_at_beta use the head product.
+    sup_term is M* (tail product over p > split_at folded into the
+    supremum; M when the tail is empty), and g2/g_at_beta use the head
+    product over p <= split_at.
     """
     ps, gs = spec.coefficients()
-    if split_at is None:
-        head = np.ones(ps.size, dtype=bool)
-    else:
-        head = ps <= split_at
+    head = ps <= split_at
     beta, r = spec.beta, spec.r
 
     prev: tuple[float, float, float, float] | None = None
@@ -175,13 +173,10 @@ def _segment_quantities(
         # Suffix integrals of F at the panel boundaries give the supremum grid.
         per_panel = (weights * fvals).reshape(m, _SEG_ORDER).sum(axis=1)
         suffix = np.concatenate([np.cumsum(per_panel[::-1])[::-1], [0.0 + 0j]])
-        if split_at is None:
-            sup_term = float(np.max(np.abs(suffix)))
-        else:
-            bounds = np.linspace(0.0, r, m + 1)
-            tail_factors = _factor_matrices(beta + 1j * bounds, ps, gs)[1][:, ~head]
-            tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
-            sup_term = float(np.max(np.abs(suffix) * tail_prod))
+        bounds = np.linspace(0.0, r, m + 1)
+        tail_factors = _factor_matrices(beta + 1j * bounds, ps[~head], gs[~head])[1]
+        tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
+        sup_term = float(np.max(np.abs(suffix) * tail_prod))
 
         cur = (lhs, sup_term, gg, g2)
         if prev is not None:
@@ -198,9 +193,7 @@ def _segment_quantities(
     return lhs, sup_term, gg, g2, g_at_beta
 
 
-def _check_lemma(
-    spec: RandomEulerSpec, F, split_at: float | None, label: str
-) -> InequalityReport:
+def _check_lemma(spec: RandomEulerSpec, F, split_at: float, label: str) -> InequalityReport:
     lhs, m_sup, gg, g2, g_beta = _segment_quantities(spec, F, split_at)
     rhs = m_sup * (g_beta + math.sqrt(gg * g2))
     return _report(lhs, rhs, spec.seed, label)
@@ -209,7 +202,7 @@ def _check_lemma(
 def check_lemma1(spec: RandomEulerSpec, F) -> InequalityReport:
     """|int G F| <= M (|G(beta)| + sqrt(int |G'/G|^2 int |G|^2)) on the segment,
     M the supremum of sub-segment integrals of F."""
-    return _check_lemma(spec, F, None, "lemma1")
+    return _check_lemma(spec, F, math.inf, "lemma1")
 
 
 def check_lemma2(spec: RandomEulerSpec, F) -> InequalityReport:

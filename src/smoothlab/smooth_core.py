@@ -89,10 +89,11 @@ def is_smooth(n: int, y: float) -> bool:
     return m <= y
 
 
-def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
-    """All y-smooth n <= limit built from primes not dividing q, including 1."""
+def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
+    """All y-smooth n <= limit built from primes not dividing q, including 1,
+    as an int64 array in generation order."""
     if limit < 1:
-        return []
+        return np.zeros(0, dtype=np.int64)
     vals = [1]
     for p in primes_upto(y):
         if q % p == 0:
@@ -104,10 +105,10 @@ def smooth_values(limit: float, y: float, q: int = 1) -> list[int]:
                 out.append(w)
                 w *= p
         vals = out
-    return vals
+    return np.array(vals, dtype=np.int64)
 
 
-def _enumerate(query: SmoothCountQuery, scale: float = 1.0) -> list[int]:
+def _enumerate(query: SmoothCountQuery, scale: float = 1.0) -> np.ndarray:
     """smooth_values(scale * x, y, q), refused when the enumeration limit
     scale * x lies above enumeration_ceiling() (set by SMOOTHLAB_CEILING).
 
@@ -126,9 +127,8 @@ def count_smooth(query: SmoothCountQuery) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
     vals = _enumerate(query)
     if query.a is None:
-        return SmoothCount(len(vals), exact=True)
-    a, q = query.a, query.q
-    return SmoothCount(sum(1 for v in vals if v % q == a), exact=True)
+        return SmoothCount(vals.size, exact=True)
+    return SmoothCount(int(np.count_nonzero(vals % query.q == query.a)), exact=True)
 
 
 def count_smooth_weighted(
@@ -150,9 +150,7 @@ def count_smooth_weighted(
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
     x, q = query.x, query.q
-    vals = np.array(_enumerate(query, scale=kernel.hi), dtype=np.int64)
-    if vals.size == 0:
-        return SmoothCount(0j if chi is not None else 0.0, exact=True)
+    vals = _enumerate(query, scale=kernel.hi)
     weights = kernel.phi_many(vals / x)
     if chi is not None:
         table = chi.value_table()

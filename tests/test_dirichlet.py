@@ -175,6 +175,21 @@ def test_dlog_inverts_the_generators():
             assert product == r, (q, r)
 
 
+def test_indexing_matches_iteration():
+    # chars[i] splits i in mixed radix; iteration walks itertools.product
+    for q in (*range(1, 61), 2**12):
+        chars = character_group(q)
+        assert [chars[i].exponents for i in range(len(chars))] == [c.exponents for c in chars]
+    chars = character_group(99_000)
+    walk = [c.exponents for c in chars]
+    rng = np.random.default_rng(9)
+    for index in (0, 1, len(chars) - 1, *rng.integers(2, len(chars), 200).tolist()):
+        assert chars[index].exponents == walk[index]
+    for index in (-1, len(chars)):
+        with pytest.raises(IndexError):
+            chars[index]
+
+
 def test_modulus_too_large():
     with pytest.raises(ModulusTooLargeError):
         character_group(10**6 + 1)

@@ -31,6 +31,7 @@ def test_equidistribution_fixture():
     recs = run_equidistribution(cfg)
     counts = {r.a: r.count for r in recs}
     assert counts == {1: 8, 2: 7}
+    assert all(type(c) is int for c in counts.values())
     assert all(r.expected == pytest.approx(7.5) for r in recs)
     assert max_discrepancy(recs)[(100.0, 5.0, 3)] == pytest.approx(1 / 15)
 
@@ -141,6 +142,7 @@ def test_coset_pairs_mod5():
     recs = run_coset(cfg)
     labels = sorted(r.a for r in recs)
     assert labels == ["1H:1/4", "2H:2/3"]
+    assert all(type(r.count) is int for r in recs)
     for r in recs:
         assert r.discrepancy == pytest.approx(abs(r.count) * 4 / sum(
             brute_count_smooth(1000, 10.0, 5, a) for a in (1, 2, 3, 4)
@@ -268,6 +270,14 @@ def test_json_export_mirrors_fields(tmp_path):
     data = json.loads(path.read_text())
     assert set(data[0]) == set(CSV_COLUMNS)
     assert data[0]["count"] == 8
+
+
+def test_json_export_round_trips_coset_records(tmp_path):
+    recs = run_coset(ExperimentConfig(xs=(1000.0,), ys=(10.0,), qs=(5, 7)))
+    path = tmp_path / "coset.json"
+    export_results(recs, "json", path)
+    back = [ResultRecord(**row) for row in json.loads(path.read_text())]
+    assert sorted(back, key=lambda r: (r.q, r.a)) == sorted(recs, key=lambda r: (r.q, r.a))
 
 
 @pytest.mark.parametrize(

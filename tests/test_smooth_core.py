@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +45,8 @@ def test_count_examples():
     assert count_smooth(SmoothCountQuery(x=100, y=5)).value == 34
     assert count_smooth(SmoothCountQuery(x=100, y=5, q=3, a=1)).value == 8
     assert count_smooth(SmoothCountQuery(x=100, y=5, q=3, a=2)).value == 7
+    assert type(count_smooth(SmoothCountQuery(x=100, y=5)).value) is int
+    assert type(count_smooth(SmoothCountQuery(x=100, y=5, q=3, a=1)).value) is int
 
 
 @given(
@@ -155,6 +158,18 @@ def test_weighted_residue_class_is_real():
     assert isinstance(got, float)
 
 
+def test_weighted_empty_enumeration():
+    # kernel.hi * x = 0.5 < 1: nothing is enumerated
+    kernel = SmoothingKernel(0.1, 0.5)
+    plain = count_smooth_weighted(SmoothCountQuery(x=1.0, y=2.0), kernel).value
+    by_class = count_smooth_weighted(SmoothCountQuery(x=1.0, y=2.0, q=3, a=1), kernel).value
+    chi = character_group(3)[1]
+    by_char = count_smooth_weighted(SmoothCountQuery(x=1.0, y=2.0, q=3), kernel, chi=chi).value
+    assert (plain, type(plain)) == (0.0, float)
+    assert (by_class, type(by_class)) == (0.0, float)
+    assert (by_char, type(by_char)) == (0j, complex)
+
+
 def test_weighted_modulus_mismatch():
     chi = character_group(4)[1]
     with pytest.raises(ModulusMismatchError):
@@ -232,5 +247,6 @@ def test_ennola_accuracy_against_lattice_count():
 
 
 def test_smooth_values_sorted_set_matches_brute():
-    got = sorted(smooth_values(200.0, 7.0, 3))
-    assert got == brute_smooth_list(200, 7, 3)
+    vals = smooth_values(200.0, 7.0, 3)
+    assert vals.dtype == np.int64
+    assert sorted(vals.tolist()) == brute_smooth_list(200, 7, 3)
