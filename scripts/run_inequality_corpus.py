@@ -29,7 +29,7 @@ def main() -> int:
             f"min rhs/lhs={ratio} [{time.time() - t0:.1f}s]"
         )
 
-    grid = calculus_grid(100, 100)
+    grid = calculus_grid()
     bad = sum(1 for rep in grid if not rep.holds)
     failures += bad
     print(f"{'calculus':10s} instances={len(grid):6d} violations={bad}")

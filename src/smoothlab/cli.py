@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .contour import ContourSpec, contour_psi
+from .contour import DEFAULT_ORDER, ContourSpec, contour_psi
 from .dirichlet import character_group
 from .errors import SmoothLabError
 from .experiments import (
@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--weighted", action="store_true")
-    p.add_argument("--kernel-lo", type=float, default=0.5)
-    p.add_argument("--kernel-hi", type=float, default=2.0)
+    p.add_argument("--kernel-lo", type=float, default=SmoothingKernel.lo)
+    p.add_argument("--kernel-hi", type=float, default=SmoothingKernel.hi)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -205,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--panel-width", type=float, default=None)
-    p.add_argument("--order", type=int, default=16)
-    p.add_argument("--kernel-lo", type=float, default=0.5)
-    p.add_argument("--kernel-hi", type=float, default=2.0)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--kernel-lo", type=float, default=SmoothingKernel.lo)
+    p.add_argument("--kernel-hi", type=float, default=SmoothingKernel.hi)
     p.set_defaults(func=_cmd_contour)
 
     p = sub.add_parser("verify", help="seeded inequality suites")

@@ -143,7 +143,6 @@ def oscillating_integral(
     beta: float,
     kernel: SmoothingKernel,
     n_panels: int | None = None,
-    order: int = DEFAULT_ORDER,
 ) -> OscillationResult:
     """int_{t0}^{t1} x^(ir) mellin(beta + ir) dr with its decay report.
 
@@ -160,7 +159,7 @@ def oscillating_integral(
         return OscillationResult(0j, 0.0)
     if n_panels is None:
         n_panels = max(4, int(math.ceil((t1 - t0) / _max_panel_width(x))))
-    nodes, weights = _panel_nodes(t0, t1, n_panels, order)
+    nodes, weights = _panel_nodes(t0, t1, n_panels, DEFAULT_ORDER)
     mell = kernel.mellin_many(beta, nodes)
     value = complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
     return OscillationResult(value, abs(value) * math.log(x))
@@ -179,7 +178,5 @@ def main_term_ratio(x: float, y: float, q: int, kernel: SmoothingKernel) -> floa
     denom = (x**alpha) * lval * mell / math.sqrt(
         2 * math.pi * (1 + log_x / y) * log_x * math.log(y)
     )
-    value = direct.value
-    numer = value.real if isinstance(value, complex) else float(value)
-    return numer / denom
+    return direct.value.real / denom
 

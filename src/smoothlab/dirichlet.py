@@ -183,8 +183,6 @@ class DirichletCharacter:
         r = n % self.modulus
         if gcd(r, self.modulus) != 1:
             return None
-        if not self.exponents:
-            return Fraction(0)
         logs = self.group.dlog_of(r)
         total = sum(
             (Fraction(m * l, d) for m, l, d in zip(self.exponents, logs, self.group.orders)),
@@ -213,29 +211,34 @@ class DirichletCharacter:
         )
         return DirichletCharacter(self.modulus, exps, self.group)
 
-    @cached_property
-    def _value_table(self) -> np.ndarray:
-        # chi(r) is the turn k(r) / L with k(r) = sum (m * dlog % d) * (L / d)
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """chi at every entry of an integer array, as a complex array (zeros
+        off the support)."""
+        # chi(n) is the turn k(n) / L with k(n) = sum (m * dlog % d) * (L / d)
         # mod L; each distinct k is mapped to a complex value once, exactly as
         # __call__ maps the reduced fraction k / L.
-        q, group = self.modulus, self.group
+        ns = np.asarray(ns, dtype=np.int64)
+        group = self.group
         big_l = lcm(*group.orders)
-        residues = np.arange(q)
         rows = ((comp.modulus, row) for comp in group.components for row in comp.dlog)
-        k = np.zeros(q, dtype=np.int64)
+        k = np.zeros(ns.shape, dtype=np.int64)
         for (modulus, dlog), m, d in zip(rows, self.exponents, group.orders):
-            k += ((m * dlog % d) * (big_l // d))[residues % modulus]
-        units = np.gcd(residues, q) == 1
+            k += (m * dlog[ns % modulus] % d) * (big_l // d)
+        units = np.gcd(ns, self.modulus) == 1
         distinct, where = np.unique(k[units] % big_l, return_inverse=True)
-        values = [
+        turns = [
             _QUARTER_VALUES[Fraction(4 * kk // big_l, 4)]
             if 4 * kk % big_l == 0
             else cmath.exp(2j * cmath.pi * (kk / big_l))
             for kk in distinct.tolist()
         ]
-        table = np.zeros(q, dtype=complex)
-        table[units] = np.array(values, dtype=complex)[where]
-        return table
+        out = np.zeros(ns.shape, dtype=complex)
+        out[units] = np.array(turns, dtype=complex)[where]
+        return out
+
+    @cached_property
+    def _value_table(self) -> np.ndarray:
+        return self.values(np.arange(self.modulus))
 
     def value_table(self) -> np.ndarray:
         """chi on all residues 0..q-1 as a complex array (zeros off support)."""

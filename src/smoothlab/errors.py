@@ -37,9 +37,5 @@ class MajorantHypothesisError(SmoothLabError):
     """Coefficient sequence violates the |a_n| <= A_n hypothesis."""
 
 
-class InvalidSubgroupError(SmoothLabError):
-    """Coset experiment received a set that is not a subgroup of (Z/qZ)*."""
-
-
 class ExportError(SmoothLabError):
     """Result export failed; message carries the offending path."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExportError, InvalidSubgroupError
+from .errors import ExportError
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, _enumerate
 
@@ -151,38 +151,13 @@ def power_subgroup(q: int, exponent: int) -> list[int]:
     return sorted({pow(a, exponent, q) for a in units})
 
 
-def _validate_subgroup(q: int, subgroup: list[int]) -> list[int]:
-    elems = sorted(set(h % q for h in subgroup))
-    if not elems:
-        raise InvalidSubgroupError("subgroup must be nonempty")
-    for h in elems:
-        if gcd(h, q) != 1:
-            raise InvalidSubgroupError(f"element {h} shares a factor with {q}")
-    elem_set = set(elems)
-    if 1 not in elem_set:
-        raise InvalidSubgroupError("subgroup must contain 1")
-    for h1 in elems:
-        for h2 in elems:
-            if h1 * h2 % q not in elem_set:
-                raise InvalidSubgroupError(f"not closed: {h1}*{h2} mod {q} escapes")
-    return elems
+def run_coset(config: ExperimentConfig) -> list[ResultRecord]:
+    """Pairwise class-count differences within cosets of H, the subgroup of
+    order_threshold-th powers, normalized by the equidistributed share.
 
-
-def run_coset(
-    config: ExperimentConfig, subgroup: list[int] | None = None
-) -> list[ResultRecord]:
-    """Pairwise class-count differences within cosets of H, normalized by the
-    equidistributed share.
-
-    H defaults to the subgroup of order_threshold-th powers.  count holds the
-    signed difference and the a-field a "repH:a/b" pair label.
+    count holds the signed difference and the a-field a "repH:a/b" pair label.
     """
-    subgroups = {
-        q: _validate_subgroup(
-            q, subgroup if subgroup is not None else power_subgroup(q, config.order_threshold)
-        )
-        for q in config.qs
-    }
+    subgroups = {q: power_subgroup(q, config.order_threshold) for q in config.qs}
     records = []
     for q, counts, total, units, record in _class_grid(config):
         phi = len(units)

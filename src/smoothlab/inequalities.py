@@ -52,7 +52,6 @@ def _report(lhs: float, rhs: float, seed: int, label: str) -> InequalityReport:
 
 G_RULE_UNIT_PHASE = "unit_phase"
 G_RULE_DISC = "disc"
-G_RULE_ZERO = "zero"
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,12 @@ class RandomEulerSpec:
             raise ValueError("need beta in [0.75, 1.3]")
         if not (0 < self.r <= 6):
             raise ValueError("need r in (0, 6]")
-        if self.rule not in (G_RULE_UNIT_PHASE, G_RULE_DISC, G_RULE_ZERO):
+        if self.rule not in (G_RULE_UNIT_PHASE, G_RULE_DISC):
             raise ValueError(f"unknown coefficient rule {self.rule!r}")
 
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(primes, g values) arrays; the modulus of every g(p) is <= 1."""
         ps = np.array(primes_upto(self.y), dtype=float)
-        if self.rule == G_RULE_ZERO:
-            return ps, np.zeros(ps.size, dtype=complex)
         rng = np.random.default_rng(self.seed)
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, ps.size))
         if self.rule == G_RULE_DISC:
@@ -92,41 +89,33 @@ class RandomEulerSpec:
 
 @dataclass(frozen=True)
 class MellinPowerF:
-    """F(s) = scale * x^s * mellin(s), the integrand the contour method uses."""
+    """F(s) = x^s * mellin(s), the integrand the contour method uses."""
 
     x: float
     kernel: SmoothingKernel
-    scale: float = 1.0
 
     def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
         s = beta + 1j * np.asarray(ts, dtype=float)
-        return self.scale * np.exp(s * math.log(self.x)) * self.kernel.mellin_many(beta, ts)
+        return np.exp(s * math.log(self.x)) * self.kernel.mellin_many(beta, ts)
 
 
 @dataclass(frozen=True)
 class PolyExpF:
-    """F(s) = scale * (sum_j c_j s^j) * exp(-rate * s)."""
+    """F(s) = (sum_j c_j s^j) * exp(-rate * s)."""
 
     coeffs: tuple[complex, ...]
     rate: float
-    scale: float = 1.0
 
     def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
         s = beta + 1j * np.asarray(ts, dtype=float)
         poly = np.zeros(s.shape, dtype=complex)
         for c in reversed(self.coeffs):
             poly = poly * s + c
-        return self.scale * poly * np.exp(-self.rate * s)
-
-
-@dataclass(frozen=True)
-class ZeroF:
-    """F identically zero (degenerate sanity case)."""
-
-    scale: float = 1.0
-
-    def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
-        return np.zeros(np.asarray(ts).shape, dtype=complex)
+        # In place, so that poly is the left operand at every size: given a
+        # large temporary on the right, numpy reuses it and swaps the
+        # operands, which moves the last bit of the complex products.
+        poly *= np.exp(-self.rate * s)
+        return poly
 
 
 # -- segment quadrature ----------------------------------------------------------
@@ -304,12 +293,12 @@ def check_calculus(c: float, t: float, seed: int = 0) -> InequalityReport:
     return _report((1.0 + t) ** c, 1.0 + c * t, seed, "calculus")
 
 
-def calculus_grid(n_c: int = 100, n_t: int = 100, t_max: float = 20.0) -> list[InequalityReport]:
-    """Dense (c, t) grid sweep of the calculus bound."""
+def calculus_grid() -> list[InequalityReport]:
+    """The calculus bound on a 100 x 100 grid of c in [0, 1] and t in [0, 20]."""
     out = []
-    for i, c in enumerate(np.linspace(0.0, 1.0, n_c)):
-        for j, t in enumerate(np.linspace(0.0, t_max, n_t)):
-            out.append(check_calculus(float(c), float(t), seed=i * n_t + j))
+    for i, c in enumerate(np.linspace(0.0, 1.0, 100)):
+        for j, t in enumerate(np.linspace(0.0, 20.0, 100)):
+            out.append(check_calculus(float(c), float(t), seed=i * 100 + j))
     return out
 
 

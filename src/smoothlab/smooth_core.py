@@ -162,6 +162,14 @@ def count_smooth_weighted(
     return SmoothCount(float(np.sum(weights)), exact=True)
 
 
+def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:
+    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent)."""
+    base, exponent = bigx
+    if base < 2 or exponent < 1:
+        raise ValueError("bigx needs base >= 2 and exponent >= 1")
+    return [p for p in primes_upto(y) if q % p != 0]
+
+
 def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCount:
     """Exact |{n <= base**exponent : n y-smooth, gcd(n, q) = 1}| for small y.
 
@@ -170,9 +178,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     are settled by exact big-integer comparison.
     """
     base, exponent = bigx
-    if base < 2 or exponent < 1:
-        raise ValueError("bigx needs base >= 2 and exponent >= 1")
-    plist = [p for p in primes_upto(y) if q % p != 0]
+    plist = _lattice_primes(bigx, y, q)
     if len(plist) > MAX_LATTICE_PRIMES:
         raise TooManyPrimesError(
             f"{len(plist)} primes <= {y} exceed the lattice bound {MAX_LATTICE_PRIMES}"
@@ -247,15 +253,13 @@ def ennola_estimate(bigx: tuple[int, int], y: float, q: int = 1) -> EnnolaEstima
     alongside; a warning is issued outside the regime 2 <= y <= sqrt(log x).
     """
     base, exponent = bigx
-    if base < 2 or exponent < 1:
-        raise ValueError("bigx needs base >= 2 and exponent >= 1")
+    plist = _lattice_primes(bigx, y, q)
     log_x = exponent * math.log(base)
     if not (2 <= y <= math.sqrt(log_x)):
         warnings.warn(
             f"y={y:g} outside the recommended window [2, sqrt(log x)={math.sqrt(log_x):.3g}]",
             stacklevel=2,
         )
-    plist = [p for p in primes_upto(y) if q % p != 0]
     main = 1.0 / math.factorial(len(plist))
     for p in plist:
         main *= log_x / math.log(p)

@@ -116,7 +116,7 @@ def test_criterion_3_inequality_corpus():
     counts = {"lemma1": 1000, "lemma2": 1000, "majorant": 10_000, "pointwise": 10_000}
     for suite, count in counts.items():
         violations += run_suite(suite, count, seed_base=0).violations
-    grid = calculus_grid(100, 100)
+    grid = calculus_grid()
     violations += sum(1 for rep in grid if not rep.holds)
     total = sum(counts.values()) + len(grid)
     ok = violations == 0

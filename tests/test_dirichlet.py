@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from smoothlab import character_group, principal_character
+from smoothlab import character_group, primes_upto, principal_character
 from smoothlab.dirichlet import _unit_group
 from smoothlab.errors import ModulusTooLargeError
 
@@ -157,6 +157,17 @@ def test_value_table_is_chi_bitwise():
         chi = chars[index]
         table = chi.value_table()
         assert _bits(table[residues]) == _bits(chi(r) for r in residues)
+
+
+def test_values_at_any_integer_match_table_and_chi():
+    for q in range(1, 61):
+        for chi in character_group(q):
+            assert _bits(chi.values(np.arange(3 * q))) == _bits(np.tile(chi.value_table(), 3))
+    chars = character_group(999_983)
+    ps = primes_upto(50)
+    for index in (0, 1, 999_980, 999_981):
+        chi = chars[index]
+        assert _bits(chi.values(np.array(ps))) == _bits(chi(p) for p in ps)
 
 
 def test_dlog_inverts_the_generators():

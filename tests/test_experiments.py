@@ -22,7 +22,7 @@ from smoothlab import (
     unsmoothing_ratio,
     unsmoothing_slopes,
 )
-from smoothlab.errors import ExportError, InvalidSubgroupError, ThresholdExceededError
+from smoothlab.errors import ExportError, ThresholdExceededError
 from smoothlab.experiments import CSV_COLUMNS, export_plot_data, export_unsmoothing
 
 
@@ -150,20 +150,19 @@ def test_coset_pairs_mod5():
 
 
 def test_coset_full_group_reduces_to_spreads():
-    cfg = ExperimentConfig(xs=(500.0,), ys=(10.0,), qs=(5,))
-    recs = run_coset(cfg, subgroup=[1, 2, 3, 4])
+    # the first powers are the whole unit group: one coset
+    cfg = ExperimentConfig(xs=(500.0,), ys=(10.0,), qs=(5,), order_threshold=1)
+    recs = run_coset(cfg)
     assert len(recs) == 6  # all unordered pairs of the four classes
 
 
-def test_invalid_subgroups_rejected():
-    cfg = ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(6,))
-    with pytest.raises(InvalidSubgroupError):
-        run_coset(cfg, subgroup=[1, 2])  # 2 shares a factor with 6
-    with pytest.raises(InvalidSubgroupError):
-        run_coset(cfg, subgroup=[5])  # misses the identity
-    cfg7 = ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(7,))
-    with pytest.raises(InvalidSubgroupError):
-        run_coset(cfg7, subgroup=[1, 2])  # not closed: 4 escapes
+def test_power_subgroup_is_a_subgroup():
+    for q in range(2, 61):
+        for k in range(-3, 7):
+            h = power_subgroup(q, k)
+            assert 1 in h
+            assert all(math.gcd(a, q) == 1 for a in h)
+            assert all(a * b % q in h for a in h for b in h)
 
 
 # -- unsmoothing ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Inequality harness: degenerate cases, oracles, seeded mini-corpora."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,9 +22,32 @@ from smoothlab import (
     run_suite,
 )
 from smoothlab.errors import MajorantHypothesisError
-from smoothlab.inequalities import G_RULE_ZERO, ZeroF, mean_square_trig
+from smoothlab.inequalities import mean_square_trig
 
 KERNEL = SmoothingKernel()
+
+# F identically zero.
+ZERO_F = PolyExpF(coeffs=(0j,), rate=0.0)
+
+
+@dataclass(frozen=True)
+class ZeroEulerSpec(RandomEulerSpec):
+    """g(p) = 0 at every prime p <= y, so G is identically 1."""
+
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        ps, gs = super().coefficients()
+        return ps, np.zeros_like(gs)
+
+
+@dataclass(frozen=True)
+class ScaledF:
+    """factor * F."""
+
+    F: object
+    factor: float
+
+    def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
+        return self.factor * self.F.values(beta, ts)
 
 
 # -- calculus -------------------------------------------------------------------
@@ -149,7 +172,7 @@ def test_majorant_random_instances_hold(seed):
 
 def test_lemma1_zero_test_function():
     spec = RandomEulerSpec(y=30.0, beta=1.0, r=2.0, seed=3)
-    rep = check_lemma1(spec, ZeroF())
+    rep = check_lemma1(spec, ZERO_F)
     assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.holds
 
 
@@ -169,7 +192,7 @@ def test_lemma2_degenerate_head():
 
 
 def test_lemma2_zero_coefficients():
-    spec = RandomEulerSpec(y=30.0, beta=1.0, r=2.5, seed=4, rule=G_RULE_ZERO)
+    spec = ZeroEulerSpec(y=30.0, beta=1.0, r=2.5, seed=4)
     F = PolyExpF(coeffs=(0.7, -0.2), rate=0.5)
     r1 = check_lemma1(spec, F)
     r2 = check_lemma2(spec, F)
@@ -182,7 +205,7 @@ def test_lemma_reports_scale_with_test_function():
     spec = RandomEulerSpec(y=25.0, beta=0.9, r=3.0, seed=21)
     F = MellinPowerF(x=200.0, kernel=KERNEL)
     base = check_lemma1(spec, F)
-    scaled = check_lemma1(spec, replace(F, scale=7.0))
+    scaled = check_lemma1(spec, ScaledF(F, 7.0))
     assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-9)
     assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-9)
     assert scaled.holds == base.holds
