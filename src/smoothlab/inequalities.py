@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MajorantHypothesisError
+from .errors import MajorantHypothesisError, NoConvergenceError
 from .kernel import SmoothingKernel, _panel_nodes
 from .lseries import _factor_matrices
 from .primes import primes_upto
@@ -129,18 +129,24 @@ _SEG_CAP = 8192
 def _segment_quantities(
     spec: RandomEulerSpec, F, split_at: float
 ) -> tuple[float, float, float, float, float]:
-    """Refining quadrature of all segment integrals entering the bounds.
+    """Refining quadrature of the segment integrals entering the bounds.
 
     Returns (lhs, sup_term, gg_integral, g2_integral, g_at_beta) where the
     sup_term is M* (tail product over p > split_at folded into the
     supremum; M when the tail is empty), and g2/g_at_beta use the head
     product over p <= split_at.
+
+    Panels double until lhs, gg_integral and g2_integral settle; reaching
+    _SEG_CAP raises NoConvergenceError. sup_term is then read once, on the
+    panel boundaries of the settled rule: a maximum over a subset of the
+    segment, so a lower bound for M*, and lhs <= rhs with it implies the
+    bound with the true supremum.
     """
     ps, gs = spec.coefficients()
     head = ps <= split_at
     beta, r = spec.beta, spec.r
 
-    prev: tuple[float, float, float, float] | None = None
+    prev: tuple[float, float, float] | None = None
     m = _SEG_START
     while True:
         nodes, weights = _panel_nodes(0.0, r, m, _SEG_ORDER)
@@ -159,23 +165,23 @@ def _segment_quantities(
         gg = float(np.sum(weights * np.abs(logderiv) ** 2))
         g2 = float(np.sum(weights * np.abs(g_head) ** 2))
 
-        # Suffix integrals of F at the panel boundaries give the supremum grid.
-        per_panel = (weights * fvals).reshape(m, _SEG_ORDER).sum(axis=1)
-        suffix = np.concatenate([np.cumsum(per_panel[::-1])[::-1], [0.0 + 0j]])
-        bounds = np.linspace(0.0, r, m + 1)
-        tail_factors = _factor_matrices(beta + 1j * bounds, ps[~head], gs[~head])[1]
-        tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
-        sup_term = float(np.max(np.abs(suffix) * tail_prod))
-
-        cur = (lhs, sup_term, gg, g2)
+        cur = (lhs, gg, g2)
         if prev is not None:
             scale = max(1.0, *(abs(v) for v in cur))
             if max(abs(a - b) for a, b in zip(cur, prev)) <= _SEG_TOL * scale:
                 break
         if m >= _SEG_CAP:
-            break
+            raise NoConvergenceError(f"segment quadrature did not settle within {_SEG_CAP} panels")
         prev = cur
         m *= 2
+
+    # Suffix integrals of F at the panel boundaries give the supremum grid.
+    per_panel = (weights * fvals).reshape(m, _SEG_ORDER).sum(axis=1)
+    suffix = np.concatenate([np.cumsum(per_panel[::-1])[::-1], [0.0 + 0j]])
+    bounds = np.linspace(0.0, r, m + 1)
+    tail_factors = _factor_matrices(beta + 1j * bounds, ps[~head], gs[~head])[1]
+    tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
+    sup_term = float(np.max(np.abs(suffix) * tail_prod))
 
     beta_factors = _factor_matrices(complex(beta), ps, gs)[1]
     g_at_beta = float(abs(np.prod(1.0 / beta_factors[head])))
@@ -190,7 +196,11 @@ def _check_lemma(spec: RandomEulerSpec, F, split_at: float, label: str) -> Inequ
 
 def check_lemma1(spec: RandomEulerSpec, F) -> InequalityReport:
     """|int G F| <= M (|G(beta)| + sqrt(int |G'/G|^2 int |G|^2)) on the segment,
-    M the supremum of sub-segment integrals of F."""
+    M the supremum of sub-segment integrals of F.
+
+    M is read on the panel boundaries of the settled quadrature rule; that
+    maximum is a lower bound for M, so the check can only be stricter.
+    """
     return _check_lemma(spec, F, math.inf, "lemma1")
 
 

@@ -8,6 +8,7 @@ concurrent initialization is idempotent.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 
 _LOCK = threading.Lock()
@@ -17,6 +18,8 @@ _PRIMES: list[int] = []
 
 def primes_upto(y: float) -> list[int]:
     """All primes p <= y in increasing order."""
+    if not math.isfinite(y):
+        raise ValueError(f"prime bound must be finite, got {y!r}")
     n = int(y)
     if n < 2:
         return []

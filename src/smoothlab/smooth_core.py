@@ -163,10 +163,12 @@ def count_smooth_weighted(
 
 
 def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:
-    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent)."""
+    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent) and y."""
     base, exponent = bigx
     if base < 2 or exponent < 1:
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
+    if not 2 <= y < math.inf:
+        raise ValueError("smoothness bound y must be finite and >= 2")
     return [p for p in primes_upto(y) if q % p != 0]
 
 
@@ -255,7 +257,7 @@ def ennola_estimate(bigx: tuple[int, int], y: float, q: int = 1) -> EnnolaEstima
     base, exponent = bigx
     plist = _lattice_primes(bigx, y, q)
     log_x = exponent * math.log(base)
-    if not (2 <= y <= math.sqrt(log_x)):
+    if y > math.sqrt(log_x):
         warnings.warn(
             f"y={y:g} outside the recommended window [2, sqrt(log x)={math.sqrt(log_x):.3g}]",
             stacklevel=2,

@@ -118,10 +118,13 @@ def test_lfun_argument_errors(capsys):
             ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "9", "--T", "80"],
             "contour: chi index out of range [0, 4)",
         ),
+        (["lfun", "1.2", "0.5", "5", "1", "inf"], "prime bound must be finite, got inf"),
+        (["lfun", "1.2", "0.5", "5", "1", "nan"], "prime bound must be finite, got nan"),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
         "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
+        "lfun_infinite_y", "lfun_nan_y",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):

@@ -21,8 +21,10 @@ from smoothlab import (
     pointwise_product_chain,
     run_suite,
 )
-from smoothlab.errors import MajorantHypothesisError
-from smoothlab.inequalities import mean_square_trig
+from smoothlab.errors import MajorantHypothesisError, NoConvergenceError
+from smoothlab.inequalities import _draw_euler_instance, _segment_quantities, mean_square_trig
+from smoothlab.kernel import _panel_nodes
+from smoothlab.lseries import _factor_matrices
 
 KERNEL = SmoothingKernel()
 
@@ -209,6 +211,44 @@ def test_lemma_reports_scale_with_test_function():
     assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-9)
     assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-9)
     assert scaled.holds == base.holds
+
+
+class FastOscillationF:
+    """F(t) = exp(1e7 i t): far too many periods for any rule below the panel cap."""
+
+    def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
+        return np.exp(1e7j * np.asarray(ts, dtype=float))
+
+
+def test_lemma_panel_cap_raises():
+    spec = RandomEulerSpec(y=1.0, beta=1.0, r=6.0, seed=0)
+    with pytest.raises(NoConvergenceError):
+        check_lemma1(spec, FastOscillationF())
+
+
+def _boundary_sup(spec: RandomEulerSpec, F, split_at: float, panels: int) -> float:
+    """max over the panel boundaries t_k of |int_{t_k}^r F| times the tail product."""
+    ps, gs = spec.coefficients()
+    tail = ps > split_at
+    nodes, weights = _panel_nodes(0.0, spec.r, panels, 12)
+    per_panel = (weights * F.values(spec.beta, nodes)).reshape(panels, 12).sum(axis=1)
+    suffix = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
+    bounds = np.linspace(0.0, spec.r, panels + 1)
+    tail_factors = _factor_matrices(spec.beta + 1j * bounds, ps[tail], gs[tail])[1]
+    return float(np.max(np.abs(suffix) / np.prod(np.abs(tail_factors), axis=1)))
+
+
+@pytest.mark.parametrize(
+    "suite, seed",
+    [("lemma1", 700), ("lemma1", 943)] + [("lemma2", s) for s in (277, 317, 896, 925)],
+)
+def test_lemma_sup_is_a_lower_bound(suite, seed):
+    spec, F = _draw_euler_instance(seed)
+    split_at = math.inf if suite == "lemma1" else math.sqrt(spec.y)
+    sup_term = _segment_quantities(spec, F, split_at)[1]
+    assert sup_term <= _boundary_sup(spec, F, split_at, 4096) * (1 + 1e-9)
+    rep = (check_lemma1 if suite == "lemma1" else check_lemma2)(spec, F)
+    assert rep.lhs <= rep.rhs
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])

@@ -209,6 +209,13 @@ def test_bigx_too_many_primes():
         count_smooth_bigx((2, 50), 150.0)
 
 
+@pytest.mark.parametrize("y", [1.0, 0.5, math.inf])
+@pytest.mark.parametrize("huge_x_entry", [count_smooth_bigx, ennola_estimate])
+def test_huge_x_entries_reject_y_outside_range(huge_x_entry, y):
+    with pytest.raises(ValueError, match="smoothness bound y must be finite and >= 2"):
+        huge_x_entry((2, 100), y)
+
+
 # -- Ennola estimate ---------------------------------------------------------------
 
 
