@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dirichlet import DirichletCharacter, principal_character
-from .kernel import SmoothingKernel, _panel_nodes
+from .kernel import SmoothingKernel, _gauss, _panel_nodes, _panels
 from .lseries import euler_product, euler_product_many
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, count_smooth_weighted
@@ -50,6 +50,15 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class ContourResult:
+    """The truncated integral, a bound on the dropped tail, and an error estimate.
+
+    quadrature_error_estimate is |rule(order) - rule(order // 2)| on the same
+    panels, so it measures the coarse rule and overstates the error of value,
+    which the full-order rule gives.  For one character mod 7 at x = 1e5,
+    y = 1e4 and T = 40 or 160 it reads 4.3e-6, while the order-16 value is
+    within 6.4e-11 of the order-32 one.
+    """
+
     value: complex
     tail_bound: float
     quadrature_error_estimate: float
@@ -81,19 +90,13 @@ def _resolve_panels(x: float, T: float, spec: ContourSpec) -> int:
 
 
 def _quadrature(
-    x: float,
-    chi: DirichletCharacter,
-    y: float,
-    kernel: SmoothingKernel,
-    c: float,
-    T: float,
-    n_panels: int,
-    order: int,
+    x: float, kernel: SmoothingKernel, c: float, T: float, lvals: np.ndarray
 ) -> complex:
+    """(1/2pi) sum of w L(s) x^s mellin(s) over one rule's nodes, lvals given per (panel, node)."""
+    n_panels, order = lvals.shape
     nodes, weights, mell = _phase_grid(kernel.lo, kernel.hi, c, T, n_panels, order)
-    lvals = euler_product_many(c, nodes, chi, y)
     phase = (x**c) * np.exp(1j * nodes * math.log(x))
-    return complex(np.sum(weights * lvals * phase * mell) / (2 * math.pi))
+    return complex(np.sum(weights * lvals.ravel() * phase * mell) / (2 * math.pi))
 
 
 def contour_psi(
@@ -105,18 +108,29 @@ def contour_psi(
 ) -> ContourResult:
     """Truncated contour approximation of the chi-weighted smooth count.
 
-    The quadrature error is estimated by an order-halving comparison and the
-    tail beyond height T by truncation_bound.
+    Needs 1 <= x < inf and 2 <= y < inf.  The tail beyond height T is bounded
+    by truncation_bound.  The quadrature error is estimated by comparing the
+    order-spec.order rule with the half-order rule on the same panels; that
+    difference is the coarse rule's error, so it overstates the error of the
+    returned value (see ContourResult).
     """
+    if not 1 <= x < math.inf:
+        raise ValueError("threshold x must be finite and >= 1")
+    if not 2 <= y < math.inf:
+        raise ValueError("smoothness bound y must be finite and >= 2")
     c = spec.c if spec.c is not None else saddle_alpha(x, y).alpha
     n_panels = _resolve_panels(x, spec.T, spec)
-    value = _quadrature(x, chi, y, kernel, c, spec.T, n_panels, spec.order)
-    coarse = _quadrature(x, chi, y, kernel, c, spec.T, n_panels, max(2, spec.order // 2))
+    # Both rules use the same panels, so one grid of Euler products serves them.
+    mid, half = _panels(-spec.T, spec.T, n_panels)
+    offsets = [half * _gauss(order)[0] for order in (spec.order, max(2, spec.order // 2))]
+    lvals = euler_product_many(c, mid, chi, y, np.concatenate(offsets))
+    fine, coarse = np.split(lvals, [spec.order], axis=1)
+    value = _quadrature(x, kernel, c, spec.T, fine)
     chi0_value = euler_product(c, principal_character(chi.modulus), y).value.real
     return ContourResult(
         value=value,
         tail_bound=truncation_bound(c, spec.T, chi0_value, x, kernel),
-        quadrature_error_estimate=abs(value - coarse),
+        quadrature_error_estimate=abs(value - _quadrature(x, kernel, c, spec.T, coarse)),
     )
 
 
@@ -125,8 +139,8 @@ def truncation_bound(
 ) -> float:
     """Bound C * x^c * L(c, chi0; y) / (8 T^8) on the dropped |t| > T tail,
     with C the measured Mellin decay constant of the kernel."""
-    if T < 1:
-        raise ValueError("need T >= 1")
+    if not 1 <= T < math.inf:
+        raise ValueError("need finite T >= 1")
     return kernel.decay_constant() * (x**c) * chi0_value / (8.0 * T**8)
 
 
@@ -149,12 +163,12 @@ def oscillating_integral(
     The product |value| * log x stays bounded as x grows; it is returned for
     measurement and never asserted here.
     """
-    if not (0 <= t0 <= t1):
-        raise ValueError("need 0 <= t0 <= t1")
+    if not (0 <= t0 <= t1 < math.inf):
+        raise ValueError("need finite 0 <= t0 <= t1")
     if not (0.75 <= beta <= 1.5):
         raise ValueError("need beta in [0.75, 1.5]")
-    if x <= 0:
-        raise ValueError("need x > 0")
+    if not 0 < x < math.inf:
+        raise ValueError("need finite x > 0")
     if t0 == t1:
         return OscillationResult(0j, 0.0)
     if n_panels is None:

@@ -120,11 +120,20 @@ def test_lfun_argument_errors(capsys):
         ),
         (["lfun", "1.2", "0.5", "5", "1", "inf"], "prime bound must be finite, got inf"),
         (["lfun", "1.2", "0.5", "5", "1", "nan"], "prime bound must be finite, got nan"),
+        *(
+            (
+                ["contour", "--x", x, "--y", "10", "--q", "5", "--chi", "1"]
+                + ["--T", "80", "--c", "0.5"],
+                "threshold x must be finite and >= 1",
+            )
+            for x in ("inf", "nan", "0", "-5")
+        ),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
         "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
+        "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):

@@ -17,7 +17,9 @@ from smoothlab import (
     principal_character,
     truncation_bound,
 )
+from smoothlab.kernel import _panel_nodes
 from smoothlab.lseries import euler_product
+from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
 
 KERNEL = SmoothingKernel()
@@ -38,12 +40,58 @@ def _direct(x, chi, y):
         lambda v: ContourSpec(T=10.0, panel_width=v),
         lambda v: saddle_alpha(v, 10.0),
         lambda v: saddle_alpha(100.0, v),
+        lambda v: contour_psi(v, principal_character(1), 10.0, KERNEL, ContourSpec(T=10.0, c=0.5)),
+        lambda v: contour_psi(100.0, principal_character(1), v, KERNEL, ContourSpec(T=10.0, c=0.5)),
+        lambda v: oscillating_integral(0.0, 1.0, v, 1.0, KERNEL),
+        lambda v: oscillating_integral(0.0, v, 100.0, 1.0, KERNEL),
+        lambda v: truncation_bound(0.7, v, 1.0, 1e4, KERNEL),
     ],
-    ids=["query_x", "query_y", "spec_T", "spec_c", "spec_panel_width", "saddle_x", "saddle_y"],
+    ids=[
+        "query_x", "query_y", "spec_T", "spec_c", "spec_panel_width", "saddle_x", "saddle_y",
+        "contour_x", "contour_y", "oscillating_x", "oscillating_t1", "truncation_T",
+    ],
 )
 def test_non_finite_inputs_rejected(build, bad):
     with pytest.raises(ValueError, match="finite"):
         build(bad)
+
+
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        (0.0, 10.0, "threshold x must be finite and >= 1"),
+        (-5.0, 10.0, "threshold x must be finite and >= 1"),
+        (0.5, 10.0, "threshold x must be finite and >= 1"),
+        (100.0, 1.5, "smoothness bound y must be finite and >= 2"),
+    ],
+)
+def test_contour_range_checked_with_explicit_abscissa(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        contour_psi(x, principal_character(1), y, KERNEL, ContourSpec(T=10.0, c=0.5))
+
+
+def _node_by_node(x, chi, y, c, T, order):
+    """The contour sum of one rule, with the Euler product formed at each node."""
+    n_panels = math.ceil(2 * T / min(1.0, 2 * math.pi / math.log(x)))
+    nodes, weights = _panel_nodes(-T, T, n_panels, order)
+    ps = np.array([p for p in primes_upto(y) if chi(p) != 0], dtype=float)
+    cs = np.array([chi(int(p)) for p in ps])
+    s = c + 1j * nodes
+    lvals = np.prod(1.0 / (1.0 - cs * np.exp(-np.outer(s, np.log(ps)))), axis=1)
+    integrand = weights * lvals * x**s * KERNEL.mellin_many(c, nodes)
+    return complex(np.sum(integrand) / (2 * math.pi))
+
+
+@pytest.mark.parametrize("x,y,q", [(1e3, 10.0, 3), (1e4, 30.0, 7), (1e5, 100.0, 12)])
+def test_matches_node_by_node_products(x, y, q):
+    c = saddle_alpha(x, y).alpha
+    for chi in character_group(q):
+        got = contour_psi(x, chi, y, KERNEL, ContourSpec(T=160.0))
+        fine = _node_by_node(x, chi, y, c, 160.0, 16)
+        coarse = _node_by_node(x, chi, y, c, 160.0, 8)
+        tol = 1e-12 * max(1.0, abs(fine))
+        assert abs(got.value - fine) <= tol
+        assert abs(got.quadrature_error_estimate - abs(fine - coarse)) <= tol
 
 
 def test_truncation_height_below_one_rejected():

@@ -1,6 +1,7 @@
-"""Truncated Euler products, at a point and along a vertical line."""
+"""Truncated Euler products, at a point and on a line grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from smoothlab import (
     smooth_values,
 )
 from smoothlab.errors import NearPoleError
-from smoothlab.lseries import euler_product_many
+from smoothlab.kernel import _gauss, _panels
+from smoothlab.lseries import _BLOCK, euler_product_many
+from smoothlab.primes import primes_upto
+
+ZERO = np.array([0.0])
 
 
 def test_trivial_products():
@@ -70,7 +75,7 @@ def test_near_pole_guard():
         # move along Re(s) -> 0 instead: at s ~ 0+ the factor 1 - 2^-s -> 0
         euler_product(1e-14, principal_character(1), 3.0)
     with pytest.raises(NearPoleError):
-        euler_product_many(1e-14, np.array([0.0]), principal_character(1), 3.0)
+        euler_product_many(1e-14, ZERO, principal_character(1), 3.0, ZERO)
     with pytest.raises(ValueError):
         euler_product(-1.0, principal_character(1), 3.0)
 
@@ -80,10 +85,16 @@ def test_near_pole_guard():
     [
         lambda: euler_product(complex(math.nan, 0.0), principal_character(1), 10.0),
         lambda: euler_product(complex(1.0, math.inf), principal_character(1), 10.0),
-        lambda: euler_product_many(math.inf, np.array([0.0]), principal_character(1), 10.0),
-        lambda: euler_product_many(math.nan, np.array([0.0]), principal_character(1), 10.0),
-        lambda: euler_product_many(1.0, np.array([0.0, math.nan]), principal_character(1), 10.0),
-        lambda: euler_product_many(1.0, np.array([-math.inf]), principal_character(1), 10.0),
+        lambda: euler_product_many(math.inf, ZERO, principal_character(1), 10.0, ZERO),
+        lambda: euler_product_many(math.nan, ZERO, principal_character(1), 10.0, ZERO),
+        lambda: euler_product_many(
+            1.0, np.array([0.0, math.nan]), principal_character(1), 10.0, ZERO
+        ),
+        lambda: euler_product_many(1.0, np.array([-math.inf]), principal_character(1), 10.0, ZERO),
+        lambda: euler_product_many(
+            1.0, ZERO, principal_character(1), 10.0, np.array([0.0, math.nan])
+        ),
+        lambda: euler_product_many(1.0, ZERO, principal_character(1), 10.0, np.array([math.inf])),
         lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0])),
         lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan])),
         lambda: SmoothingKernel().mellin(complex(1.0, math.inf)),
@@ -93,6 +104,7 @@ def test_near_pole_guard():
     ids=[
         "euler_product-nan-s", "euler_product-inf-t", "euler_product_many-inf-c",
         "euler_product_many-nan-c", "euler_product_many-nan-t", "euler_product_many-inf-t",
+        "euler_product_many-nan-offset", "euler_product_many-inf-offset",
         "mellin_many-inf-c", "mellin_many-nan-t", "mellin-inf-t", "mellin-nan-t", "mellin-inf-s",
     ],
 )
@@ -101,10 +113,76 @@ def test_non_finite_s_rejected(call):
         call()
 
 
+def _scalar_grid(c, ts, chi, y, offsets):
+    return np.array(
+        [[euler_product(c + 1j * (t + o), chi, y).value for o in offsets] for t in ts]
+    )
+
+
 def test_vectorized_line_values():
     chi = character_group(12)[3]
     ts = np.linspace(-8.0, 8.0, 41)
-    vec = euler_product_many(0.9, ts, chi, 40.0)
-    sca = np.array([euler_product(0.9 + 1j * t, chi, 40.0).value for t in ts])
-    assert np.max(np.abs(vec - sca)) < 1e-12
+    offsets = np.array([-0.1, 0.0, 0.05])
+    grid = euler_product_many(0.9, ts, chi, 40.0, offsets)
+    assert grid.shape == (41, 3)
+    assert np.max(np.abs(grid - _scalar_grid(0.9, ts, chi, 40.0, offsets))) < 1e-12
 
+
+def _rows_per_block(chi, y, n_offsets):
+    # as euler_product_many sizes its blocks: _BLOCK terms over the primes with chi(p) != 0
+    n_primes = sum(1 for p in primes_upto(y) if chi(p) != 0)
+    return max(1, _BLOCK // (n_primes * n_offsets))
+
+
+@pytest.mark.parametrize("q,index", [(5, 1), (12, 3), (1009, 17)])
+@pytest.mark.parametrize("y", [100.0, 1000.0])
+def test_grid_matches_scalar_across_blocks(q, index, y):
+    chi = character_group(q)[index]
+    offsets = np.array([-0.2, 0.0, 0.13])
+    ts = np.linspace(-30.0, 30.0, _rows_per_block(chi, y, 3) + 3)  # two blocks, one short
+    grid = euler_product_many(0.7, ts, chi, y, offsets)
+    want = _scalar_grid(0.7, ts, chi, y, offsets)
+    assert np.all(np.abs(grid - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_near_pole_guard_in_a_later_block():
+    # factor 1 - 2^-s at s = 1e-14 + 0i lies within 7e-15 of zero; at the
+    # other nodes (t in [1, 2]) every factor is at least 0.6 from zero
+    rows = _rows_per_block(principal_character(1), 3.0, 1)
+    ts = np.linspace(1.0, 2.0, 3 * rows)
+    euler_product_many(1e-14, ts, principal_character(1), 3.0, ZERO)
+    ts[2 * rows + 1] = 0.0
+    with pytest.raises(NearPoleError):
+        euler_product_many(1e-14, ts, principal_character(1), 3.0, ZERO)
+
+
+def test_grid_of_empty_support_is_ones():
+    ts = np.linspace(-5.0, 5.0, 41)
+    grid = euler_product_many(0.7, ts, principal_character(2), 2.0, np.array([0.0, 0.3]))
+    assert grid.shape == (41, 2)
+    assert np.all(grid == 1)
+
+
+def _contour_grid(T):
+    # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
+    mid, half = _panels(-T, T, math.ceil(2 * T / (2 * math.pi / math.log(1e5))))
+    return mid, half * np.concatenate([_gauss(16)[0], _gauss(8)[0]])
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_flat_in_truncation_height():
+    chi = character_group(3)[1]
+    peaks = {}
+    for T in (160.0, 640.0):
+        mid, offsets = _contour_grid(T)
+        euler_product_many(0.6, mid, chi, 1000.0, offsets)  # warm any caches
+        peaks[T] = _peak_bytes(lambda: euler_product_many(0.6, mid, chi, 1000.0, offsets))
+    assert peaks[640.0] <= 1.5 * peaks[160.0]
