@@ -22,11 +22,16 @@ from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, count_smooth_weighted
 
 DEFAULT_ORDER = 16
+# Largest quadrature order a spec accepts: eight times the default and four
+# times the order-32 reference rule, far below orders whose Gauss-Legendre
+# tables would exhaust memory (leggauss builds an order x order matrix).
+MAX_ORDER = 128
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Abscissa, truncation height (at least 1), panel width and quadrature order.
+    """Abscissa, truncation height (at least 1), panel width and quadrature
+    order (2 to MAX_ORDER).
 
     c defaults to the saddle abscissa alpha(x, y); panel_width defaults to
     min(1, 2pi/log x) so each panel sees at most one oscillation period.
@@ -44,8 +49,8 @@ class ContourSpec:
             raise ValueError("abscissa must be finite and positive")
         if self.panel_width is not None and not 0 < self.panel_width < math.inf:
             raise ValueError("panel width must be finite and positive")
-        if self.order < 2:
-            raise ValueError("quadrature order must be >= 2")
+        if not 2 <= self.order <= MAX_ORDER:
+            raise ValueError(f"quadrature order must lie in [2, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -66,12 +71,18 @@ class ContourResult:
 
 @lru_cache(maxsize=64)
 def _phase_grid(
-    lo: float, hi: float, c: float, T: float, n_panels: int, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel nodes on [-T, T], their weights, and mellin(c + i t) at the nodes."""
-    kernel = SmoothingKernel(lo, hi)
-    nodes, weights = _panel_nodes(-T, T, n_panels, order)
-    return nodes, weights, kernel.mellin_many(c, nodes)
+    kernel: SmoothingKernel, c: float, T: float, n_panels: int, orders: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Panel midpoints of [-T, T], the Gauss offsets of the rules of each
+    order side by side with their weights, and mellin(c + i(mid + offset))
+    on that (panel, offset) grid; all read-only."""
+    mid, half = _panels(-T, T, n_panels)
+    offsets = np.concatenate([half * _gauss(order)[0] for order in orders])
+    weights = np.concatenate([half * _gauss(order)[1] for order in orders])
+    grid = (mid, offsets, weights, kernel.mellin_many(c, mid, offsets))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 def _max_panel_width(x: float) -> float:
@@ -89,14 +100,12 @@ def _resolve_panels(x: float, T: float, spec: ContourSpec) -> int:
     return max(1, int(math.ceil(2 * T / width)))
 
 
-def _quadrature(
-    x: float, kernel: SmoothingKernel, c: float, T: float, lvals: np.ndarray
-) -> complex:
-    """(1/2pi) sum of w L(s) x^s mellin(s) over one rule's nodes, lvals given per (panel, node)."""
-    n_panels, order = lvals.shape
-    nodes, weights, mell = _phase_grid(kernel.lo, kernel.hi, c, T, n_panels, order)
-    phase = (x**c) * np.exp(1j * nodes * math.log(x))
-    return complex(np.sum(weights * lvals.ravel() * phase * mell) / (2 * math.pi))
+def _x_power(x: float, c: float) -> float:
+    """x^c, refused with a ValueError when c log x lies past the float range."""
+    try:
+        return x**c
+    except OverflowError:
+        raise ValueError(f"abscissa c={c:g} too large for x={x:g}: x^c overflows a float") from None
 
 
 def contour_psi(
@@ -108,29 +117,35 @@ def contour_psi(
 ) -> ContourResult:
     """Truncated contour approximation of the chi-weighted smooth count.
 
-    Needs 1 <= x < inf and 2 <= y < inf.  The tail beyond height T is bounded
+    Needs 1 <= x < inf, 2 <= y < inf and x^c inside the float range (a
+    ValueError names c and x otherwise).  The tail beyond height T is bounded
     by truncation_bound.  The quadrature error is estimated by comparing the
     order-spec.order rule with the half-order rule on the same panels; that
     difference is the coarse rule's error, so it overstates the error of the
-    returned value (see ContourResult).
+    returned value (see ContourResult).  Both rules read one (panel, offset)
+    grid: the Mellin values come from one mellin_many call cached per
+    (kernel, c, T, panels, orders), which every character of a cell shares,
+    and the Euler products from one euler_product_many call.
     """
     if not 1 <= x < math.inf:
         raise ValueError("threshold x must be finite and >= 1")
     if not 2 <= y < math.inf:
         raise ValueError("smoothness bound y must be finite and >= 2")
     c = spec.c if spec.c is not None else saddle_alpha(x, y).alpha
+    scale = _x_power(x, c) / (2 * math.pi)
     n_panels = _resolve_panels(x, spec.T, spec)
-    # Both rules use the same panels, so one grid of Euler products serves them.
-    mid, half = _panels(-spec.T, spec.T, n_panels)
-    offsets = [half * _gauss(order)[0] for order in (spec.order, max(2, spec.order // 2))]
-    lvals = euler_product_many(c, mid, chi, y, np.concatenate(offsets))
-    fine, coarse = np.split(lvals, [spec.order], axis=1)
-    value = _quadrature(x, kernel, c, spec.T, fine)
+    # Both rules use the same panels, so one grid of Mellin values and one of
+    # Euler products serve them; the rules' offsets sit side by side.
+    orders = (spec.order, max(2, spec.order // 2))
+    mid, offsets, weights, mell = _phase_grid(kernel, c, spec.T, n_panels, orders)
+    lvals = euler_product_many(c, mid, chi, y, offsets)
+    terms = weights * lvals * mell * np.exp(1j * math.log(x) * np.add.outer(mid, offsets))
+    fine, coarse = (complex(scale * np.sum(rule)) for rule in np.split(terms, [spec.order], axis=1))
     chi0_value = euler_product(c, principal_character(chi.modulus), y).value.real
     return ContourResult(
-        value=value,
+        value=fine,
         tail_bound=truncation_bound(c, spec.T, chi0_value, x, kernel),
-        quadrature_error_estimate=abs(value - _quadrature(x, kernel, c, spec.T, coarse)),
+        quadrature_error_estimate=abs(fine - coarse),
     )
 
 
@@ -141,7 +156,7 @@ def truncation_bound(
     with C the measured Mellin decay constant of the kernel."""
     if not 1 <= T < math.inf:
         raise ValueError("need finite T >= 1")
-    return kernel.decay_constant() * (x**c) * chi0_value / (8.0 * T**8)
+    return kernel.decay_constant() * _x_power(x, c) * chi0_value / (8.0 * T**8)
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,7 @@ def oscillating_integral(
     if n_panels is None:
         n_panels = max(4, int(math.ceil((t1 - t0) / _max_panel_width(x))))
     nodes, weights = _panel_nodes(t0, t1, n_panels, DEFAULT_ORDER)
-    mell = kernel.mellin_many(beta, nodes)
+    mell = kernel.mellin_many(beta, nodes, (0.0,))[:, 0]
     value = complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
     return OscillationResult(value, abs(value) * math.log(x))
 

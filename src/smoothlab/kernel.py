@@ -26,6 +26,10 @@ _STEP_COEFFS = [
 ]
 _STEP_DESC = np.array(_STEP_COEFFS[::-1], dtype=float)
 
+# (row, offset, panel) terms per block of mellin_many; only one block's
+# arrays are alive at once, so memory does not grow with the number of rows.
+_BLOCK = 1 << 16
+
 
 @lru_cache(maxsize=64)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,37 +115,53 @@ class SmoothingKernel:
     def mellin(self, s: complex) -> complex:
         """Mellin transform at one s with Re(s) > 0 (scalar view of mellin_many)."""
         s = complex(s)
-        return complex(self.mellin_many(s.real, np.array([s.imag]))[0])
+        return complex(self.mellin_many(s.real, np.array([s.imag]), (0.0,))[0, 0])
 
-    def mellin_many(self, c: float, ts: np.ndarray) -> np.ndarray:
-        """Transform at s = c + i*t, finite c > 0, for an array of finite ordinates t.
+    def mellin_many(self, c: float, ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Transform at s = c + i(ts[k] + offsets[j]), finite c > 0, as a
+        (len(ts), len(offsets)) array; flat ordinates pass offsets=(0.0,).
 
         The [0, lo] piece is the closed form lo^s / s.  The transition piece
         is integrated over v = log u, as the integral of phi(e^v) e^(vs) over
         [log lo, log hi], on n composite order-24 Gauss-Legendre panels whose
-        count is tied to max |t|, so the oscillation e^(ivt) is resolved and
-        the result is accurate to about 1e-14 absolute.  A node is
-        v = mid_p + half * xi_i, so e^(vs) = e^(s mid_p) * e^(s half xi_i)
-        separates: each ordinate costs n + 24 complex exponentials and a
-        (24 x n) matrix product, not 24 * n exponentials.
+        count is tied to the largest |t| of the grid, so the oscillation
+        e^(ivt) is resolved and the result is accurate to about 1e-14
+        absolute.  A node is v = mid_p + half * xi_i, so with
+        s_k = c + i ts[k] the exponential
+        e^(vs) = e^(s_k mid_p) * e^(s_k half xi_i) * e^(i offsets[j] v)
+        separates: each row costs n + 24 complex exponentials, the offsets
+        n + 24 each once, and the sum over xi_i is a matrix product with
+        24 rows.  The rows are walked in blocks of about _BLOCK terms.
         """
         ts = np.asarray(ts, dtype=float)
-        if not (0 < c < math.inf and np.isfinite(ts).all()):
+        offsets = np.asarray(offsets, dtype=float)
+        if not (0 < c < math.inf and np.isfinite(ts).all() and np.isfinite(offsets).all()):
             raise ValueError("Mellin transform requires finite s with Re(s) > 0")
-        s = (c + 1j * ts).ravel()
         log_lo = math.log(self.lo)
-        tmax = float(np.max(np.abs(ts))) if ts.size else 0.0
+        # the largest |ts[k] + offsets[j]| lies at a corner of the grid
+        tmax = 0.0
+        if ts.size and offsets.size:
+            tmax = max(abs(ts.max() + offsets.max()), abs(ts.min() + offsets.min()))
         xi, wi = _gauss(24)
-        mid, half = _panels(log_lo, math.log(self.hi), self._base_panels(tmax))
+        mid, half = _panels(log_lo, math.log(self.hi), self._base_panels(float(tmax)))
         # coeff[i, p] = half * w_i * phi(e^(v_ip))
         coeff = (half * wi)[:, None] * self.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
-        out = np.exp(s * log_lo) / s
-        block = 2048
-        for i in range(0, s.size, block):
-            sb = s[i : i + block]
-            inner = np.exp(np.outer(sb, half * xi)) @ coeff
-            out[i : i + block] += np.sum(np.exp(np.outer(sb, mid)) * inner, axis=1)
-        return out.reshape(ts.shape)
+        spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
+        spin_xi = np.exp(1j * np.multiply.outer(offsets, half * xi))  # (offset, xi)
+        out = np.empty((ts.size, offsets.size), dtype=complex)
+        step = max(1, _BLOCK // max(1, offsets.size * (mid.size + xi.size)))
+        for k in range(0, ts.size, step):
+            rows = ts[k : k + step]
+            s = c + 1j * np.add.outer(rows, offsets)
+            sk = c + 1j * rows
+            row_xi = np.exp(np.multiply.outer(sk, half * xi))[:, None, :] * spin_xi
+            inner = (row_xi.reshape(-1, xi.size) @ coeff).reshape(rows.size, offsets.size, mid.size)
+            inner *= spin_mid  # (row, offset, panel)
+            # exp times inner, in this operand order, so that flat ordinates
+            # get the values of a one-axis engine bit for bit
+            np.multiply(np.exp(np.multiply.outer(sk, mid))[:, None, :], inner, out=inner)
+            out[k : k + step] = np.exp(s * log_lo) / s + np.sum(inner, axis=2)
+        return out
 
     def _base_panels(self, tmax: float) -> int:
         # periods of e^(ivt) across [log lo, log hi]
@@ -165,7 +185,7 @@ def _measured_decay_constant(lo: float, hi: float) -> float:
     for n_sigma, n_t in ((8, 160), (16, 320)):
         for sigma in np.linspace(0.1, 1.5, n_sigma):
             ts = np.geomspace(1.0, 400.0, n_t)
-            vals = kernel.mellin_many(float(sigma), ts)
+            vals = kernel.mellin_many(float(sigma), ts, (0.0,))[:, 0]
             mod_s = np.hypot(sigma, ts)
             prod = np.abs(vals) * mod_s * (mod_s + 1.0) ** 8
             best = max(best, float(prod.max()))

@@ -40,9 +40,10 @@ def _support(chi: DirichletCharacter, y: float) -> tuple[np.ndarray, np.ndarray]
     return ps[keep].astype(float), cs[keep]
 
 
-def _guarded(terms: np.ndarray) -> np.ndarray:
-    """Factors 1 - terms; raises NearPoleError when one lies within POLE_GUARD of zero."""
-    factors = 1.0 - terms
+def _guarded(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Factors 1 - terms, written to out when given; raises NearPoleError
+    when one lies within POLE_GUARD of zero."""
+    factors = np.subtract(1.0, terms, out=out)
     if factors.size and np.min(np.abs(factors)) < POLE_GUARD:
         raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero")
     return factors
@@ -92,5 +93,9 @@ def euler_product_many(
     step = max(1, _BLOCK // max(1, spin.size))
     for k in range(0, ts.size, step):
         rows = scale * np.exp(-1j * np.multiply.outer(ts[k : k + step], log_p))
-        out[k : k + step] = np.prod(_guarded(rows[:, None, :] * spin), axis=2)
+        terms = rows[:, None, :] * spin
+        # the factors overwrite the terms: with one more block-sized
+        # temporary, malloc handed the heap top back to the system after
+        # every block, and faulting it in again doubled this loop's time
+        out[k : k + step] = np.prod(_guarded(terms, out=terms), axis=2)
     return 1.0 / out

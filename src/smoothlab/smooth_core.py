@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -141,6 +142,10 @@ def count_smooth_weighted(
     With a character: sum of chi(n) * phi(n/x) over all y-smooth n (the
     character kills residues sharing a factor with q).  Without: sum of
     phi(n/x) over the class n = a (mod q), or over all n coprime to q.
+    All three read one class-weight vector W_a, the sum of phi(n/x) over
+    n = a (mod q), cached per (x, y, q, kernel): the character sum is
+    sum_a chi(a) W_a, so every character and class of a cell shares one
+    enumeration.
     """
     if chi is not None:
         if chi.modulus != query.q:
@@ -149,17 +154,33 @@ def count_smooth_weighted(
             )
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
-    x, q = query.x, query.q
-    vals = _enumerate(query, scale=kernel.hi)
-    weights = kernel.phi_many(vals / x)
+    weights = _class_weights(query.x, query.y, query.q, kernel, enumeration_ceiling())
     if chi is not None:
-        table = chi.value_table()
-        total = complex(np.sum(table[vals % q] * weights))
-        return SmoothCount(total, exact=True)
+        return SmoothCount(complex(chi.value_table() @ weights), exact=True)
     if query.a is not None:
-        mask = (vals % q) == query.a
-        return SmoothCount(float(np.sum(weights[mask])), exact=True)
+        return SmoothCount(float(weights[query.a]), exact=True)
     return SmoothCount(float(np.sum(weights)), exact=True)
+
+
+@lru_cache(maxsize=8)
+def _class_weights(
+    x: float, y: float, q: int, kernel: SmoothingKernel, ceiling: float
+) -> np.ndarray:
+    """Read-only W_a = sum of phi(n/x) over the y-smooth n = a (mod q), a in [0, q).
+
+    The enumeration ceiling is part of the cache key, so a lowered
+    SMOOTHLAB_CEILING misses the cache and _enumerate refuses the limit.
+    """
+    vals = _enumerate(SmoothCountQuery(x=x, y=y, q=q), scale=kernel.hi)
+    classes = vals % q
+    counts = np.bincount(classes, minlength=q)
+    terms = kernel.phi_many(vals[np.argsort(classes, kind="stable")] / x)
+    # reduceat sums each class's run of terms pairwise, as np.sum does
+    weights = np.zeros(q)
+    present = counts > 0
+    weights[present] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[present])
+    weights.setflags(write=False)
+    return weights
 
 
 def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:

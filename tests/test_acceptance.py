@@ -155,7 +155,7 @@ def test_criterion_5_mellin_bounds():
         best = 0.0
         for sigma in np.linspace(0.5, 1.5, n_sigma):
             ts = np.geomspace(1.0, 100.0, n_t)
-            vals = KERNEL.mellin_many(float(sigma), ts)
+            vals = KERNEL.mellin_many(float(sigma), ts, (0.0,))[:, 0]
             mod_s = np.hypot(sigma, ts)
             best = max(best, float(np.max(np.abs(vals) * mod_s * (mod_s + 1) ** 8)))
         sups.append(best)

@@ -128,12 +128,23 @@ def test_lfun_argument_errors(capsys):
             )
             for x in ("inf", "nan", "0", "-5")
         ),
+        (
+            ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
+            + ["--order", "100000"],
+            "quadrature order must lie in [2, 128]",
+        ),
+        (
+            ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
+            + ["--c", "70"],
+            "abscissa c=70 too large for x=100000: x^c overflows a float",
+        ),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
         "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
+        "contour_order_above_cap", "contour_abscissa_overflows",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):

@@ -17,6 +17,8 @@ from smoothlab import (
     principal_character,
     truncation_bound,
 )
+from smoothlab.cli import main
+from smoothlab.contour import MAX_ORDER, _phase_grid
 from smoothlab.kernel import _panel_nodes
 from smoothlab.lseries import euler_product
 from smoothlab.primes import primes_upto
@@ -78,7 +80,7 @@ def _node_by_node(x, chi, y, c, T, order):
     cs = np.array([chi(int(p)) for p in ps])
     s = c + 1j * nodes
     lvals = np.prod(1.0 / (1.0 - cs * np.exp(-np.outer(s, np.log(ps)))), axis=1)
-    integrand = weights * lvals * x**s * KERNEL.mellin_many(c, nodes)
+    integrand = weights * lvals * x**s * KERNEL.mellin_many(c, nodes, (0.0,))[:, 0]
     return complex(np.sum(integrand) / (2 * math.pi))
 
 
@@ -98,6 +100,38 @@ def test_truncation_height_below_one_rejected():
     # truncation_bound needs T >= 1, so the spec refuses a smaller T before any quadrature
     with pytest.raises(ValueError, match="T must be finite and >= 1"):
         ContourSpec(T=0.9)
+
+
+def test_order_above_cap_rejected_before_any_table(monkeypatch, capsys):
+    assert ContourSpec(T=10.0, order=MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(ValueError, match=f"quadrature order must lie in \\[2, {MAX_ORDER}\\]"):
+        ContourSpec(T=10.0, order=MAX_ORDER + 1)
+
+    def refuse(order):
+        raise AssertionError(f"Gauss-Legendre table of order {order} requested")
+
+    monkeypatch.setattr("smoothlab.kernel.leggauss", refuse)
+    argv = ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
+    assert main(argv + ["--order", "100000"]) == 2
+    assert "quadrature order must lie in [2, 128]" in capsys.readouterr().err
+
+
+def test_abscissa_past_float_range_rejected():
+    chi = character_group(5)[1]
+    with pytest.raises(ValueError, match="abscissa c=70 too large for x=100000"):
+        contour_psi(1e5, chi, 10.0, KERNEL, ContourSpec(T=10.0, c=70.0))
+    with pytest.raises(ValueError, match="abscissa c=70 too large for x=100000"):
+        truncation_bound(70.0, 10.0, 1.0, 1e5, KERNEL)
+    # 1e5^61 = 1e305 is still a float
+    assert truncation_bound(61.0, 10.0, 1.0, 1e5, KERNEL) > 0
+
+
+def test_one_phase_grid_per_cell():
+    _phase_grid.cache_clear()
+    for chi in character_group(7):
+        contour_psi(3e3, chi, 20.0, KERNEL, ContourSpec(T=40.0))
+    info = _phase_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_trivial_character_reconstruction():
@@ -176,7 +210,7 @@ def test_oscillating_integral_degenerate_and_flat():
     flat = oscillating_integral(0.0, 2.0, 1.0, 1.0, KERNEL)
     # no oscillation at x=1: plain integral of the transform along the segment
     ts = np.linspace(0.0, 2.0, 20001)
-    vals = KERNEL.mellin_many(1.0, ts)
+    vals = KERNEL.mellin_many(1.0, ts, (0.0,))[:, 0]
     w = np.ones(ts.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     want = complex(np.sum(w * vals) * (ts[1] - ts[0]) / 3.0)

@@ -1,6 +1,7 @@
 """Cutoff kernel: support, smoothness, and Mellin transform."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothlab import SmoothingKernel
-from smoothlab.kernel import _STEP_COEFFS
+from smoothlab.kernel import _STEP_COEFFS, _gauss, _panels
 
 KERNEL = SmoothingKernel()
 
@@ -106,7 +107,7 @@ def _mpmath_mellin(kernel, s: complex) -> complex:
 
 def test_mellin_many_matches_mpmath_quadrature():
     ts = np.array([0.0, 0.9, 12.0, 101.4])
-    got = KERNEL.mellin_many(0.7, ts)
+    got = KERNEL.mellin_many(0.7, ts, (0.0,))[:, 0]
     want = np.array([_mpmath_mellin(KERNEL, complex(0.7, t)) for t in ts])
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -114,7 +115,7 @@ def test_mellin_many_matches_mpmath_quadrature():
 @pytest.mark.parametrize("c", [0.02, 0.3, 0.7, 1.5])
 def test_mellin_many_matches_mpmath_quadrature_high_ordinates(c):
     ts = np.array([-160.0, 400.0])
-    got = KERNEL.mellin_many(c, ts)
+    got = KERNEL.mellin_many(c, ts, (0.0,))[:, 0]
     want = np.array([_mpmath_mellin(KERNEL, complex(c, t)) for t in ts])
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -123,12 +124,69 @@ def test_mellin_many_matches_mpmath_quadrature_high_ordinates(c):
 def test_mellin_many_batch_matches_scalar(kernel):
     # the batch takes its panel count from max |t| = 400, each scalar call from its own |t|
     ts = np.concatenate([np.linspace(-6.0, 6.0, 40), np.geomspace(6.5, 400.0, 60)])
-    got = kernel.mellin_many(0.9, ts)
+    got = kernel.mellin_many(0.9, ts, (0.0,))
+    assert got.shape == (100, 1)
     want = np.array([kernel.mellin(complex(0.9, t)) for t in ts])
-    assert np.max(np.abs(got - want)) <= 1e-13
-    grid = kernel.mellin_many(0.9, ts.reshape(4, 25))
-    assert grid.shape == (4, 25)
-    np.testing.assert_array_equal(grid.ravel(), got)
+    assert np.max(np.abs(got[:, 0] - want)) <= 1e-13
+    # a (row, offset) grid with the same largest |t| equals the flat nodes
+    rows, offsets = np.linspace(-399.0, 399.0, 25), np.array([-1.0, 0.0, 0.25, 1.0])
+    grid = kernel.mellin_many(0.9, rows, offsets)
+    assert grid.shape == (25, 4)
+    flat = kernel.mellin_many(0.9, np.add.outer(rows, offsets).ravel(), (0.0,))
+    assert np.max(np.abs(grid.ravel() - flat[:, 0])) <= 1e-14
+    assert kernel.mellin_many(0.9, rows, np.zeros(0)).shape == (25, 0)
+    assert kernel.mellin_many(0.9, np.zeros(0), offsets).shape == (0, 4)
+
+
+def _contour_grid(T):
+    # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
+    mid, half = _panels(-T, T, math.ceil(2 * T / (2 * math.pi / math.log(1e5))))
+    return mid, half * np.concatenate([_gauss(16)[0], _gauss(8)[0]])
+
+
+@pytest.mark.parametrize("T", [40.0, 160.0, 640.0])
+def test_mellin_grid_matches_scalar(T):
+    mid, offsets = _contour_grid(T)
+    grid = KERNEL.mellin_many(0.66, mid, offsets)
+    assert grid.shape == (mid.size, offsets.size)
+    rng = np.random.default_rng(13)
+    rows, cols = rng.integers(0, mid.size, 40), rng.integers(0, offsets.size, 40)
+    want = [KERNEL.mellin(complex(0.66, mid[k] + offsets[j])) for k, j in zip(rows, cols)]
+    assert np.max(np.abs(grid[rows, cols] - want)) <= 1e-14
+
+
+def _single_axis(kernel, c, ts):
+    """Flat-node values by the one-axis engine: e^(vs) = e^(s mid_p) e^(s half xi_i)."""
+    s = c + 1j * ts
+    xi, wi = _gauss(24)
+    n = kernel._base_panels(np.max(np.abs(ts)))
+    mid, half = _panels(math.log(kernel.lo), math.log(kernel.hi), n)
+    coeff = (half * wi)[:, None] * kernel.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
+    inner = np.exp(np.outer(s, half * xi)) @ coeff
+    return np.exp(s * math.log(kernel.lo)) / s + np.sum(np.exp(np.outer(s, mid)) * inner, axis=1)
+
+
+@pytest.mark.parametrize("c", [0.3, 0.9, 1.5])
+def test_flat_offsets_match_single_axis_engine(c):
+    # 3040 ordinates up to |t| = 400 span several blocks
+    ts = np.concatenate([np.linspace(-6.0, 6.0, 40), np.geomspace(6.5, 400.0, 3000)])
+    got = KERNEL.mellin_many(c, ts, (0.0,))
+    assert np.max(np.abs(got[:, 0] - _single_axis(KERNEL, c, ts))) <= 1e-15
+
+
+def test_phase_grid_memory_flat_in_truncation_height():
+    # the (panel, offset) grid itself grows with T; the memory beyond it must not
+    working = {}
+    for T in (160.0, 640.0):
+        mid, offsets = _contour_grid(T)
+        KERNEL.mellin_many(0.6, mid, offsets)  # warm any caches
+        tracemalloc.start()
+        try:
+            grid = KERNEL.mellin_many(0.6, mid, offsets)
+            working[T] = tracemalloc.get_traced_memory()[1] - grid.nbytes
+        finally:
+            tracemalloc.stop()
+    assert working[640.0] <= 1.5 * working[160.0]
 
 
 def test_mellin_domain_error():
@@ -138,7 +196,7 @@ def test_mellin_domain_error():
         KERNEL.mellin(-1.0 + 2.0j)
     for c in (0.0, -1.0):
         with pytest.raises(ValueError):
-            KERNEL.mellin_many(c, np.array([1.0]))
+            KERNEL.mellin_many(c, np.array([1.0]), (0.0,))
 
 
 def test_mellin_lower_bound_on_unit_interval():
@@ -152,7 +210,7 @@ def test_decay_product_stable_under_refinement():
         best = 0.0
         for sigma in np.linspace(0.5, 1.5, n_sigma):
             ts = np.geomspace(1.0, 100.0, n_t)
-            vals = KERNEL.mellin_many(float(sigma), ts)
+            vals = KERNEL.mellin_many(float(sigma), ts, (0.0,))[:, 0]
             mod_s = np.hypot(sigma, ts)
             best = max(best, float(np.max(np.abs(vals) * mod_s * (mod_s + 1) ** 8)))
         sups.append(best)

@@ -95,17 +95,19 @@ def test_near_pole_guard():
             1.0, ZERO, principal_character(1), 10.0, np.array([0.0, math.nan])
         ),
         lambda: euler_product_many(1.0, ZERO, principal_character(1), 10.0, np.array([math.inf])),
-        lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0])),
-        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan])),
+        lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0]), ZERO),
+        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan]), ZERO),
         lambda: SmoothingKernel().mellin(complex(1.0, math.inf)),
         lambda: SmoothingKernel().mellin(complex(1.0, math.nan)),
         lambda: SmoothingKernel().mellin(math.inf),
+        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0]), np.array([0.0, math.inf])),
     ],
     ids=[
         "euler_product-nan-s", "euler_product-inf-t", "euler_product_many-inf-c",
         "euler_product_many-nan-c", "euler_product_many-nan-t", "euler_product_many-inf-t",
         "euler_product_many-nan-offset", "euler_product_many-inf-offset",
         "mellin_many-inf-c", "mellin_many-nan-t", "mellin-inf-t", "mellin-nan-t", "mellin-inf-s",
+        "mellin_many-inf-offset",
     ],
 )
 def test_non_finite_s_rejected(call):

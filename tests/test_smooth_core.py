@@ -25,6 +25,7 @@ from smoothlab.errors import (
     ThresholdExceededError,
     TooManyPrimesError,
 )
+from smoothlab.smooth_core import _class_weights, enumeration_ceiling
 
 KERNEL = SmoothingKernel()
 
@@ -168,6 +169,46 @@ def test_weighted_empty_enumeration():
     assert (plain, type(plain)) == (0.0, float)
     assert (by_class, type(by_class)) == (0.0, float)
     assert (by_char, type(by_char)) == (0j, complex)
+
+
+@pytest.mark.parametrize("x,y,q", [(40.0, 7.0, 5), (90.0, 11.0, 8), (120.0, 5.0, 1)])
+def test_cached_class_weights_match_brute_force(x, y, q):
+    ns = brute_smooth_list(KERNEL.hi * x, y, q)
+    query = SmoothCountQuery(x=x, y=y, q=q)
+    for _ in range(2):  # the second pass reads the cached class weights
+        for chi in character_group(q):
+            got = count_smooth_weighted(query, KERNEL, chi=chi).value
+            terms = [chi(n) * KERNEL.phi(n / x) for n in ns]
+            want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+            assert abs(got - want) <= 1e-12
+        for a in range(q):
+            if math.gcd(a, q) == 1:
+                got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q, a=a), KERNEL).value
+                want = math.fsum(KERNEL.phi(n / x) for n in ns if n % q == a)
+                assert got == pytest.approx(want, abs=1e-12)
+        got = count_smooth_weighted(query, KERNEL).value
+        assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
+
+
+def test_cached_class_weights_respect_a_lowered_ceiling(monkeypatch):
+    query = SmoothCountQuery(x=100.0, y=5.0, q=3, a=1)
+    chi = character_group(3)[1]
+    count_smooth_weighted(query, KERNEL)  # fills the cache
+    monkeypatch.setenv("SMOOTHLAB_CEILING", "150")
+    with pytest.raises(ThresholdExceededError):
+        count_smooth_weighted(query, KERNEL)
+    with pytest.raises(ThresholdExceededError):
+        count_smooth_weighted(SmoothCountQuery(x=100.0, y=5.0, q=3), KERNEL, chi=chi)
+    monkeypatch.delenv("SMOOTHLAB_CEILING")
+    assert count_smooth_weighted(query, KERNEL).exact
+
+
+def test_class_weight_vector_is_read_only():
+    weights = _class_weights(50.0, 7.0, 4, KERNEL, enumeration_ceiling())
+    assert weights.shape == (4,) and weights[0] == weights[2] == 0.0
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[1] = 0.0
 
 
 def test_weighted_modulus_mismatch():
