@@ -119,7 +119,8 @@ class SmoothingKernel:
 
     def mellin_many(self, c: float, ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Transform at s = c + i(ts[k] + offsets[j]), finite c > 0, as a
-        (len(ts), len(offsets)) array; flat ordinates pass offsets=(0.0,).
+        (len(ts), len(offsets)) array; flat ordinates pass offsets=(0.0,),
+        which skips the offset exponentials (each is e^0 = 1).
 
         The [0, lo] piece is the closed form lo^s / s.  The transition piece
         is integrated over v = log u, as the integral of phi(e^v) e^(vs) over
@@ -146,17 +147,22 @@ class SmoothingKernel:
         mid, half = _panels(log_lo, math.log(self.hi), self._base_panels(float(tmax)))
         # coeff[i, p] = half * w_i * phi(e^(v_ip))
         coeff = (half * wi)[:, None] * self.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
-        spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
-        spin_xi = np.exp(1j * np.multiply.outer(offsets, half * xi))  # (offset, xi)
+        spin = not (offsets.size == 1 and offsets[0] == 0.0)
+        if spin:
+            spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
+            spin_xi = np.exp(1j * np.multiply.outer(offsets, half * xi))  # (offset, xi)
         out = np.empty((ts.size, offsets.size), dtype=complex)
         step = max(1, _BLOCK // max(1, offsets.size * (mid.size + xi.size)))
         for k in range(0, ts.size, step):
             rows = ts[k : k + step]
             s = c + 1j * np.add.outer(rows, offsets)
             sk = c + 1j * rows
-            row_xi = np.exp(np.multiply.outer(sk, half * xi))[:, None, :] * spin_xi
+            row_xi = np.exp(np.multiply.outer(sk, half * xi))[:, None, :]
+            if spin:
+                row_xi = row_xi * spin_xi
             inner = (row_xi.reshape(-1, xi.size) @ coeff).reshape(rows.size, offsets.size, mid.size)
-            inner *= spin_mid  # (row, offset, panel)
+            if spin:
+                inner *= spin_mid  # (row, offset, panel)
             # exp times inner, in this operand order, so that flat ordinates
             # get the values of a one-axis engine bit for bit
             np.multiply(np.exp(np.multiply.outer(sk, mid))[:, None, :], inner, out=inner)

@@ -142,10 +142,11 @@ def count_smooth_weighted(
     With a character: sum of chi(n) * phi(n/x) over all y-smooth n (the
     character kills residues sharing a factor with q).  Without: sum of
     phi(n/x) over the class n = a (mod q), or over all n coprime to q.
-    All three read one class-weight vector W_a, the sum of phi(n/x) over
-    n = a (mod q), cached per (x, y, q, kernel): the character sum is
-    sum_a chi(a) W_a, so every character and class of a cell shares one
-    enumeration.
+    All three read one set of class weights W_a, the sum of phi(n/x) over
+    n = a (mod q), cached per (x, y, q, kernel) for the residues a that
+    occur: the character sum is sum_a chi(a) W_a, so every character and
+    class of a cell shares one enumeration.  The cache grows with the
+    number of smooth values, never with q.
     """
     if chi is not None:
         if chi.modulus != query.q:
@@ -154,33 +155,44 @@ def count_smooth_weighted(
             )
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
-    weights = _class_weights(query.x, query.y, query.q, kernel, enumeration_ceiling())
+    residues, sums = _class_weights(
+        query.x, query.y, query.q, kernel, enumeration_ceiling()
+    )
     if chi is not None:
-        return SmoothCount(complex(chi.value_table() @ weights), exact=True)
+        return SmoothCount(complex(chi.value_table()[residues] @ sums), exact=True)
     if query.a is not None:
-        return SmoothCount(float(weights[query.a]), exact=True)
-    return SmoothCount(float(np.sum(weights)), exact=True)
+        i = int(np.searchsorted(residues, query.a))
+        hit = i < residues.size and residues[i] == query.a
+        return SmoothCount(float(sums[i]) if hit else 0.0, exact=True)
+    return SmoothCount(float(np.sum(sums)), exact=True)
 
 
 @lru_cache(maxsize=8)
 def _class_weights(
     x: float, y: float, q: int, kernel: SmoothingKernel, ceiling: float
-) -> np.ndarray:
-    """Read-only W_a = sum of phi(n/x) over the y-smooth n = a (mod q), a in [0, q).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (residues, sums): the sorted residues a (mod q) of the
+    y-smooth n <= kernel.hi * x, and W_a = sum of phi(n/x) over each class.
 
+    Residues with no smooth n are left out, so both arrays are as long as
+    the number of classes that occur, at most the number of smooth values.
     The enumeration ceiling is part of the cache key, so a lowered
     SMOOTHLAB_CEILING misses the cache and _enumerate refuses the limit.
     """
     vals = _enumerate(SmoothCountQuery(x=x, y=y, q=q), scale=kernel.hi)
     classes = vals % q
-    counts = np.bincount(classes, minlength=q)
-    terms = kernel.phi_many(vals[np.argsort(classes, kind="stable")] / x)
+    order = np.argsort(classes, kind="stable")
+    runs = classes[order]
+    starts = np.flatnonzero(np.diff(runs, prepend=-1))
+    residues = runs[starts]
     # reduceat sums each class's run of terms pairwise, as np.sum does
-    weights = np.zeros(q)
-    present = counts > 0
-    weights[present] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[present])
-    weights.setflags(write=False)
-    return weights
+    if vals.size:
+        sums = np.add.reduceat(kernel.phi_many(vals[order] / x), starts)
+    else:
+        sums = np.zeros(0)
+    residues.setflags(write=False)
+    sums.setflags(write=False)
+    return residues, sums
 
 
 def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:

@@ -203,12 +203,30 @@ def test_cached_class_weights_respect_a_lowered_ceiling(monkeypatch):
     assert count_smooth_weighted(query, KERNEL).exact
 
 
-def test_class_weight_vector_is_read_only():
-    weights = _class_weights(50.0, 7.0, 4, KERNEL, enumeration_ceiling())
-    assert weights.shape == (4,) and weights[0] == weights[2] == 0.0
-    assert not weights.flags.writeable
-    with pytest.raises(ValueError):
-        weights[1] = 0.0
+def test_class_weights_are_read_only_and_sparse():
+    residues, sums = _class_weights(50.0, 7.0, 4, KERNEL, enumeration_ceiling())
+    assert residues.tolist() == [1, 3] and sums.shape == (2,)
+    for arr in (residues, sums):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("q", [10**12 + 39, 2**40])
+def test_class_weights_cost_nothing_in_the_modulus(q):
+    # the cache holds only the residues that occur, so a modulus far past
+    # any table bound costs no more than q = 1
+    x, y = 100.0, 5.0
+    ns = brute_smooth_list(KERNEL.hi * x, y, q)
+    for a in (1, 27, 7, q - 1):
+        got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q, a=a), KERNEL).value
+        want = math.fsum(KERNEL.phi(n / x) for n in ns if n % q == a)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert (got != 0.0) == (a in ns)
+    got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q), KERNEL).value
+    assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
+    residues, _ = _class_weights(x, y, q, KERNEL, enumeration_ceiling())
+    assert residues.size == len(ns)
 
 
 def test_weighted_modulus_mismatch():
