@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dirichlet import DirichletCharacter, principal_character
-from .kernel import SmoothingKernel, _gauss, _panel_nodes, _panels
+from .kernel import SmoothingKernel, panel_grid
 from .lseries import euler_product, euler_product_many
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, count_smooth_weighted
@@ -76,9 +76,7 @@ def _phase_grid(
     """Panel midpoints of [-T, T], the Gauss offsets of the rules of each
     order side by side with their weights, and mellin(c + i(mid + offset))
     on that (panel, offset) grid; all read-only."""
-    mid, half = _panels(-T, T, n_panels)
-    offsets = np.concatenate([half * _gauss(order)[0] for order in orders])
-    weights = np.concatenate([half * _gauss(order)[1] for order in orders])
+    _, mid, offsets, weights = panel_grid(-T, T, n_panels, orders)
     grid = (mid, offsets, weights, kernel.mellin_many(c, mid, offsets))
     for arr in grid:
         arr.setflags(write=False)
@@ -188,7 +186,8 @@ def oscillating_integral(
         return OscillationResult(0j, 0.0)
     if n_panels is None:
         n_panels = max(4, int(math.ceil((t1 - t0) / _max_panel_width(x))))
-    nodes, weights = _panel_nodes(t0, t1, n_panels, DEFAULT_ORDER)
+    _, mid, offsets, weights = panel_grid(t0, t1, n_panels, (DEFAULT_ORDER,))
+    nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
     mell = kernel.mellin_many(beta, nodes, (0.0,))[:, 0]
     value = complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
     return OscillationResult(value, abs(value) * math.log(x))

@@ -11,7 +11,8 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from math import gcd
 from os import PathLike
@@ -22,9 +23,6 @@ import numpy as np
 from .errors import ExportError
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, _enumerate
-
-CSV_COLUMNS = ("x", "y", "q", "a", "count", "expected", "discrepancy", "u", "v", "w", "alpha")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,6 +92,9 @@ class ResultRecord:
     v: float
     w: float
     alpha: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
 
 @dataclass(frozen=True)
@@ -234,15 +235,22 @@ def _format_cell(value) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
-    """Write one header row and the given rows; I/O failures become ExportError."""
+@contextmanager
+def _export_file(path: str | Path, newline: str | None):
+    """The file at path, opened for writing; I/O failures become ExportError."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise ExportError(f"cannot write results to {path}: {exc}") from exc
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
+    """Write one header row and the given rows, each cell through _format_cell."""
+    with _export_file(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
 def export_results(records: list[ResultRecord], fmt: str, path: str | Path) -> None:
@@ -252,51 +260,31 @@ def export_results(records: list[ResultRecord], fmt: str, path: str | Path) -> N
         raise ValueError("format must be 'csv' or 'json'")
     ordered = sorted(records, key=_sort_key)
     if fmt == "csv":
-        rows = ([_format_cell(row[col]) for col in CSV_COLUMNS] for row in map(asdict, ordered))
-        _write_csv(path, CSV_COLUMNS, rows)
+        _write_csv(path, CSV_COLUMNS, map(astuple, ordered))
         return
-    payload = [{col: asdict(rec)[col] for col in CSV_COLUMNS} for rec in ordered]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ExportError(f"cannot write results to {path}: {exc}") from exc
+    with _export_file(path, newline=None) as fh:
+        json.dump([asdict(rec) for rec in ordered], fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# How load_results reads each column: a is an int or a label, and every
+# column not named here is a float.
+_PARSERS = {"q": int, "a": lambda cell: int(cell) if cell.isdigit() else cell}
 
 
 def load_results(path: str | Path) -> list[ResultRecord]:
     """Parse back a CSV written by export_results."""
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            a: int | str = row["a"]
-            if isinstance(a, str) and a.isdigit():
-                a = int(a)
-            records.append(
-                ResultRecord(
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    q=int(row["q"]),
-                    a=a,
-                    count=float(row["count"]),
-                    expected=float(row["expected"]),
-                    discrepancy=float(row["discrepancy"]),
-                    u=float(row["u"]),
-                    v=float(row["v"]),
-                    w=float(row["w"]),
-                    alpha=float(row["alpha"]),
-                )
-            )
-    return records
+        return [
+            ResultRecord(**{col: _PARSERS.get(col, float)(row[col]) for col in CSV_COLUMNS})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def export_unsmoothing(records: list[UnsmoothingRecord], path: str | Path) -> None:
     ordered = sorted(records, key=lambda r: (r.x, r.y, r.q, r.epsilon))
-    rows = (
-        [*map(_format_cell, (rec.x, rec.y, rec.q, rec.epsilon)), f"{rec.ratio:.12g}"]
-        for rec in ordered
-    )
-    _write_csv(path, ("x", "y", "q", "epsilon", "ratio"), rows)
+    header = tuple(f.name for f in fields(UnsmoothingRecord))
+    _write_csv(path, header, map(astuple, ordered))
 
 
 def export_plot_data(records: list[ResultRecord], path: str | Path) -> None:
@@ -304,4 +292,4 @@ def export_plot_data(records: list[ResultRecord], path: str | Path) -> None:
     by_point = max_discrepancy(records)
     frame = {(r.x, r.y, r.q): r.v for r in records}
     rows = sorted((frame[key], dmax) for key, dmax in by_point.items())
-    _write_csv(path, ("v", "max_discrepancy"), ([f"{v:.12g}", f"{dmax:.12g}"] for v, dmax in rows))
+    _write_csv(path, ("v", "max_discrepancy"), rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MajorantHypothesisError, NoConvergenceError
-from .kernel import SmoothingKernel, _panel_nodes
+from .kernel import SmoothingKernel, panel_grid
 from .lseries import _factor_matrices
 from .primes import primes_upto
 
@@ -149,7 +149,8 @@ def _segment_quantities(
     prev: tuple[float, float, float] | None = None
     m = _SEG_START
     while True:
-        nodes, weights = _panel_nodes(0.0, r, m, _SEG_ORDER)
+        edges, mid, offsets, weights = panel_grid(0.0, r, m, (_SEG_ORDER,))
+        nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, m)
         terms, factors = _factor_matrices(beta + 1j * nodes, ps, gs)
         # G'/G from g(p) p^-s log p / (1 - g(p) p^-s), formed in place and
         # released so that at most two node-by-prime matrices are alive.
@@ -178,8 +179,7 @@ def _segment_quantities(
     # Suffix integrals of F at the panel boundaries give the supremum grid.
     per_panel = (weights * fvals).reshape(m, _SEG_ORDER).sum(axis=1)
     suffix = np.concatenate([np.cumsum(per_panel[::-1])[::-1], [0.0 + 0j]])
-    bounds = np.linspace(0.0, r, m + 1)
-    tail_factors = _factor_matrices(beta + 1j * bounds, ps[~head], gs[~head])[1]
+    tail_factors = _factor_matrices(beta + 1j * edges, ps[~head], gs[~head])[1]
     tail_prod = np.prod(1.0 / np.abs(tail_factors), axis=1)
     sup_term = float(np.max(np.abs(suffix) * tail_prod))
 

@@ -30,6 +30,11 @@ _STEP_DESC = np.array(_STEP_COEFFS[::-1], dtype=float)
 # arrays are alive at once, so memory does not grow with the number of rows.
 _BLOCK = 1 << 16
 
+# Largest panel count of one composite rule: about 28 times the largest count
+# in use (2346, a contour at T = 640 and x = 1e5), far below counts whose
+# node arrays would exhaust memory.
+MAX_PANELS = 1 << 16
+
 
 @lru_cache(maxsize=64)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -37,19 +42,25 @@ def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _panels(a: float, b: float, n_panels: int) -> tuple[np.ndarray, float]:
-    """Midpoints and half-width of n_panels equal panels of [a, b]."""
+def panel_grid(
+    a: float, b: float, n_panels: int, orders: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rules on n_panels equal panels of [a, b].
+
+    Returns the panel edges and midpoints, and the Gauss offsets and weights
+    of the rule of each order side by side: node (p, j) is mid[p] + offsets[j]
+    with weight weights[j].  The flat nodes of one order are
+    np.add.outer(mid, offsets).ravel(), their weights np.tile(weights, n_panels).
+    A panel count outside [1, MAX_PANELS] raises ValueError before any array
+    is built.
+    """
+    if not 1 <= n_panels <= MAX_PANELS:
+        raise ValueError(f"panel count {n_panels} outside [1, {MAX_PANELS}]")
     edges = np.linspace(a, b, n_panels + 1)
-    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1] - edges[0])
-
-
-def _panel_nodes(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    xi, wi = _gauss(order)
-    mid, half = _panels(a, b, n_panels)
-    nodes = (mid[:, None] + half * xi[None, :]).ravel()
-    weights = np.tile(half * wi, n_panels)
-    return nodes, weights
+    half = 0.5 * (edges[1] - edges[0])
+    offsets = np.concatenate([half * _gauss(order)[0] for order in orders])
+    weights = np.concatenate([half * _gauss(order)[1] for order in orders])
+    return edges, 0.5 * (edges[:-1] + edges[1:]), offsets, weights
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -127,9 +138,9 @@ class SmoothingKernel:
         [log lo, log hi], on n composite order-24 Gauss-Legendre panels whose
         count is tied to the largest |t| of the grid, so the oscillation
         e^(ivt) is resolved and the result is accurate to about 1e-14
-        absolute.  A node is v = mid_p + half * xi_i, so with
-        s_k = c + i ts[k] the exponential
-        e^(vs) = e^(s_k mid_p) * e^(s_k half xi_i) * e^(i offsets[j] v)
+        absolute.  A node is v = mid_p + xi_i (the panel_grid layout), so
+        with s_k = c + i ts[k] the exponential
+        e^(vs) = e^(s_k mid_p) * e^(s_k xi_i) * e^(i offsets[j] v)
         separates: each row costs n + 24 complex exponentials, the offsets
         n + 24 each once, and the sum over xi_i is a matrix product with
         24 rows.  The rows are walked in blocks of about _BLOCK terms.
@@ -143,21 +154,21 @@ class SmoothingKernel:
         tmax = 0.0
         if ts.size and offsets.size:
             tmax = max(abs(ts.max() + offsets.max()), abs(ts.min() + offsets.min()))
-        xi, wi = _gauss(24)
-        mid, half = _panels(log_lo, math.log(self.hi), self._base_panels(float(tmax)))
-        # coeff[i, p] = half * w_i * phi(e^(v_ip))
-        coeff = (half * wi)[:, None] * self.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
+        n_panels = self._base_panels(float(tmax))
+        _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
+        # coeff[i, p] = w_i * phi(e^(mid_p + xi_i))
+        coeff = wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))
         spin = not (offsets.size == 1 and offsets[0] == 0.0)
         if spin:
             spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
-            spin_xi = np.exp(1j * np.multiply.outer(offsets, half * xi))  # (offset, xi)
+            spin_xi = np.exp(1j * np.multiply.outer(offsets, xi))  # (offset, xi)
         out = np.empty((ts.size, offsets.size), dtype=complex)
         step = max(1, _BLOCK // max(1, offsets.size * (mid.size + xi.size)))
         for k in range(0, ts.size, step):
             rows = ts[k : k + step]
             s = c + 1j * np.add.outer(rows, offsets)
             sk = c + 1j * rows
-            row_xi = np.exp(np.multiply.outer(sk, half * xi))[:, None, :]
+            row_xi = np.exp(np.multiply.outer(sk, xi))[:, None, :]
             if spin:
                 row_xi = row_xi * spin_xi
             inner = (row_xi.reshape(-1, xi.size) @ coeff).reshape(rows.size, offsets.size, mid.size)

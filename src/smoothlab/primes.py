@@ -11,15 +11,21 @@ import bisect
 import math
 import threading
 
+# Largest prime bound the sieve serves: its byte array and prime list at
+# this bound take a few hundred MB, and no caller needs more.
+MAX_SIEVE = 10**8
+
 _LOCK = threading.Lock()
 _LIMIT = 0
 _PRIMES: list[int] = []
 
 
 def primes_upto(y: float) -> list[int]:
-    """All primes p <= y in increasing order."""
+    """All primes p <= y in increasing order; y above MAX_SIEVE raises ValueError."""
     if not math.isfinite(y):
         raise ValueError(f"prime bound must be finite, got {y!r}")
+    if y > MAX_SIEVE:
+        raise ValueError(f"prime bound {y:g} exceeds the sieve bound {MAX_SIEVE:g}")
     n = int(y)
     if n < 2:
         return []
@@ -33,7 +39,7 @@ def _grow(n: int) -> None:
     with _LOCK:
         if n <= _LIMIT:
             return
-        limit = max(n, 2 * _LIMIT, 1 << 10)
+        limit = min(max(n, 2 * _LIMIT, 1 << 10), MAX_SIEVE)
         sieve = bytearray([1]) * (limit + 1)
         sieve[0:2] = b"\x00\x00"
         p = 2

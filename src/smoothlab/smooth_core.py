@@ -82,7 +82,7 @@ def is_smooth(n: int, y: float) -> bool:
     if n < 1:
         raise ValueError("n must be a positive integer")
     m = n
-    for p in primes_upto(y):
+    for p in primes_upto(min(y, math.isqrt(n))):
         if p * p > m:
             break
         while m % p == 0:
@@ -96,7 +96,8 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     if limit < 1:
         return np.zeros(0, dtype=np.int64)
     vals = [1]
-    for p in primes_upto(y):
+    # a prime above the limit only copies the list
+    for p in primes_upto(min(y, limit)):
         if q % p == 0:
             continue
         out = []
@@ -222,53 +223,37 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
         return SmoothCount(1, exact=True)  # only n = 1
 
     budget = exponent * math.log(base)
-    logs = [math.log(p) for p in plist]
-    p0, log0 = plist[0], logs[0]
-    # Recurse over the larger primes; the smallest prime is filled in closed
-    # form, with boundary ties resolved exactly.
-    rest = sorted(zip(plist[1:], logs[1:]), key=lambda t: -t[0])
-    target: int | None = None  # base**exponent, built only if a tie occurs
+    p0, log0 = plist[0], math.log(plist[0])
+    # Walk the exponents of the larger primes, largest first; the smallest
+    # prime's exponents are counted in closed form at each leaf, with
+    # boundary ties settled exactly.  path[i] is the exponent of rest[i].
+    rest = [(p, math.log(p)) for p in reversed(plist[1:])]
+    path = [0] * len(rest)
+    depth, limit = len(rest), budget + LOG_GUARD
 
-    def exact_fits(stack: list[tuple[int, int]], e0: int) -> bool:
-        nonlocal target
-        if target is None:
-            target = base**exponent
-        n = p0**e0
-        for p, e in stack:
-            n *= p**e
-        return n <= target
-
-    count = 0
-    stack: list[tuple[int, int]] = []
-
-    def visit(i: int, spent: float) -> None:
-        nonlocal count
-        if i == len(rest):
-            count += _closed_form_cap(spent)
-            return
-        p, lp = rest[i]
-        e = 0
-        while True:
-            s2 = spent + e * lp
-            if s2 > budget + LOG_GUARD:
-                break
-            stack.append((p, e))
-            visit(i + 1, s2)
-            stack.pop()
-            e += 1
-
-    def _closed_form_cap(spent: float) -> int:
-        r = (budget - spent) / log0
-        m = round(r)
-        if abs(r - m) * log0 < LOG_GUARD:
+    def visit(i: int, spent: float) -> int:
+        if i == depth:
+            r = (budget - spent) / log0
+            m = round(r)
+            if abs(r - m) * log0 >= LOG_GUARD:
+                e_max = math.floor(r)
+                return e_max + 1 if e_max >= 0 else 0
             if m < 0:
                 return 0
-            return m + 1 if exact_fits(stack, m) else m
-        e_max = math.floor(r)
-        return e_max + 1 if e_max >= 0 else 0
+            # base**exponent is built only here, on a tie
+            n = p0**m * math.prod(p**e for (p, _), e in zip(rest, path))
+            return m + 1 if n <= base**exponent else m
+        lp = rest[i][1]
+        total = e = 0
+        s = spent
+        while s <= limit:
+            path[i] = e
+            total += visit(i + 1, s)
+            e += 1
+            s = spent + e * lp
+        return total
 
-    visit(0, 0.0)
-    return SmoothCount(count, exact=True)
+    return SmoothCount(visit(0, 0.0), exact=True)
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,20 @@ def test_lfun_argument_errors(capsys):
             + ["--c", "70"],
             "abscissa c=70 too large for x=100000: x^c overflows a float",
         ),
+        (
+            ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "1e12"],
+            "panel count 3664677994398 outside [1, 65536]",
+        ),
+        (
+            ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
+            + ["--panel-width", "1e-9"],
+            "panel count 20000000000 outside [1, 65536]",
+        ),
+        (["saddle", "1e13", "1e13"], "prime bound 1e+13 exceeds the sieve bound 1e+08"),
+        (
+            ["lfun", "1.2", "0.5", "5", "1", "1e13"],
+            "prime bound 1e+13 exceeds the sieve bound 1e+08",
+        ),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
@@ -145,6 +159,8 @@ def test_lfun_argument_errors(capsys):
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
         "contour_order_above_cap", "contour_abscissa_overflows",
+        "contour_panels_above_cap_by_height", "contour_panels_above_cap_by_width",
+        "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):

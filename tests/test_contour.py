@@ -1,6 +1,7 @@
 """Contour reconstruction against the enumeration oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from smoothlab import (
 )
 from smoothlab.cli import main
 from smoothlab.contour import MAX_ORDER, _phase_grid
-from smoothlab.kernel import _panel_nodes
+from smoothlab.kernel import MAX_PANELS, panel_grid
 from smoothlab.lseries import euler_product
 from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
@@ -75,7 +76,8 @@ def test_contour_range_checked_with_explicit_abscissa(x, y, message):
 def _node_by_node(x, chi, y, c, T, order):
     """The contour sum of one rule, with the Euler product formed at each node."""
     n_panels = math.ceil(2 * T / min(1.0, 2 * math.pi / math.log(x)))
-    nodes, weights = _panel_nodes(-T, T, n_panels, order)
+    _, mid, offsets, weights = panel_grid(-T, T, n_panels, (order,))
+    nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
     ps = np.array([p for p in primes_upto(y) if chi(p) != 0], dtype=float)
     cs = np.array([chi(int(p)) for p in ps])
     s = c + 1j * nodes
@@ -114,6 +116,28 @@ def test_order_above_cap_rejected_before_any_table(monkeypatch, capsys):
     argv = ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
     assert main(argv + ["--order", "100000"]) == 2
     assert "quadrature order must lie in [2, 128]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: contour_psi(1e5, character_group(5)[1], 10.0, KERNEL, ContourSpec(T=1e12)),
+        lambda: contour_psi(
+            1e5, character_group(5)[1], 10.0, KERNEL, ContourSpec(T=10.0, panel_width=1e-9)
+        ),
+        lambda: oscillating_integral(0.0, 1e12, 1e5, 1.0, KERNEL),
+    ],
+    ids=["contour_height", "contour_panel_width", "oscillating_integral"],
+)
+def test_panel_count_rejected_before_any_array(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"panel count .* outside \\[1, {MAX_PANELS}\\]"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_abscissa_past_float_range_rejected():

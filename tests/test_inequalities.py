@@ -23,7 +23,7 @@ from smoothlab import (
 )
 from smoothlab.errors import MajorantHypothesisError, NoConvergenceError
 from smoothlab.inequalities import _draw_euler_instance, _segment_quantities, mean_square_trig
-from smoothlab.kernel import _panel_nodes
+from smoothlab.kernel import panel_grid
 from smoothlab.lseries import _factor_matrices
 
 KERNEL = SmoothingKernel()
@@ -230,7 +230,8 @@ def _boundary_sup(spec: RandomEulerSpec, F, split_at: float, panels: int) -> flo
     """max over the panel boundaries t_k of |int_{t_k}^r F| times the tail product."""
     ps, gs = spec.coefficients()
     tail = ps > split_at
-    nodes, weights = _panel_nodes(0.0, spec.r, panels, 12)
+    _, mid, offsets, weights = panel_grid(0.0, spec.r, panels, (12,))
+    nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, panels)
     per_panel = (weights * F.values(spec.beta, nodes)).reshape(panels, 12).sum(axis=1)
     suffix = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
     bounds = np.linspace(0.0, spec.r, panels + 1)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from smoothlab import SmoothingKernel
-from smoothlab.kernel import _STEP_COEFFS, _gauss, _panels
+from smoothlab.kernel import _STEP_COEFFS, MAX_PANELS, panel_grid
 
 KERNEL = SmoothingKernel()
 
@@ -140,8 +141,9 @@ def test_mellin_many_batch_matches_scalar(kernel):
 
 def _contour_grid(T):
     # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
-    mid, half = _panels(-T, T, math.ceil(2 * T / (2 * math.pi / math.log(1e5))))
-    return mid, half * np.concatenate([_gauss(16)[0], _gauss(8)[0]])
+    n_panels = math.ceil(2 * T / (2 * math.pi / math.log(1e5)))
+    _, mid, offsets, _ = panel_grid(-T, T, n_panels, (16, 8))
+    return mid, offsets
 
 
 @pytest.mark.parametrize("T", [40.0, 160.0, 640.0])
@@ -158,11 +160,10 @@ def test_mellin_grid_matches_scalar(T):
 def _single_axis(kernel, c, ts):
     """Flat-node values by the one-axis engine: e^(vs) = e^(s mid_p) e^(s half xi_i)."""
     s = c + 1j * ts
-    xi, wi = _gauss(24)
     n = kernel._base_panels(np.max(np.abs(ts)))
-    mid, half = _panels(math.log(kernel.lo), math.log(kernel.hi), n)
-    coeff = (half * wi)[:, None] * kernel.phi_many(np.exp(mid[None, :] + half * xi[:, None]))
-    inner = np.exp(np.outer(s, half * xi)) @ coeff
+    _, mid, xi, wi = panel_grid(math.log(kernel.lo), math.log(kernel.hi), n, (24,))
+    coeff = wi[:, None] * kernel.phi_many(np.exp(mid[None, :] + xi[:, None]))
+    inner = np.exp(np.outer(s, xi)) @ coeff
     return np.exp(s * math.log(kernel.lo)) / s + np.sum(np.exp(np.outer(s, mid)) * inner, axis=1)
 
 
@@ -225,3 +226,32 @@ def test_rescaled_kernel_for_unsmoothing_family():
     assert 0.0 < k.phi(0.95) < 1.0
     with pytest.raises(ValueError):
         SmoothingKernel(lo=1.0, hi=0.5)
+
+
+# -- composite rule layout ------------------------------------------------------
+
+
+def test_panel_grid_layout():
+    edges, mid, offsets, weights = panel_grid(-2.0, 3.0, 7, (16, 8))
+    assert np.array_equal(edges, np.linspace(-2.0, 3.0, 8))
+    assert np.array_equal(mid, 0.5 * (edges[:-1] + edges[1:]))
+    half = 0.5 * (edges[1] - edges[0])
+    (x16, w16), (x8, w8) = leggauss(16), leggauss(8)
+    assert np.array_equal(offsets, np.concatenate([half * x16, half * x8]))
+    assert np.array_equal(weights, np.concatenate([half * w16, half * w8]))
+    # each rule, as flat nodes, integrates x^5 over [-2, 3] exactly
+    for cols in (slice(0, 16), slice(16, 24)):
+        nodes = np.add.outer(mid, offsets[cols]).ravel()
+        assert np.sum(np.tile(weights[cols], 7) * nodes**5) == pytest.approx(665 / 6, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_panels", [0, MAX_PANELS + 1, 10**12])
+def test_panel_count_outside_cap_rejected(n_panels):
+    with pytest.raises(ValueError, match=f"panel count {n_panels} outside \\[1, {MAX_PANELS}\\]"):
+        panel_grid(0.0, 1.0, n_panels, (16,))
+
+
+def test_mellin_far_up_the_line_rejected():
+    assert panel_grid(0.0, 1.0, MAX_PANELS, (2,))[1].size == MAX_PANELS
+    with pytest.raises(ValueError, match="panel count"):
+        KERNEL.mellin(1 + 1e12j)

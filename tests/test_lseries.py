@@ -14,7 +14,7 @@ from smoothlab import (
     smooth_values,
 )
 from smoothlab.errors import NearPoleError
-from smoothlab.kernel import _gauss, _panels
+from smoothlab.kernel import panel_grid
 from smoothlab.lseries import _BLOCK, euler_product_many
 from smoothlab.primes import primes_upto
 
@@ -167,8 +167,9 @@ def test_grid_of_empty_support_is_ones():
 
 def _contour_grid(T):
     # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
-    mid, half = _panels(-T, T, math.ceil(2 * T / (2 * math.pi / math.log(1e5))))
-    return mid, half * np.concatenate([_gauss(16)[0], _gauss(8)[0]])
+    n_panels = math.ceil(2 * T / (2 * math.pi / math.log(1e5)))
+    _, mid, offsets, _ = panel_grid(-T, T, n_panels, (16, 8))
+    return mid, offsets
 
 
 def _peak_bytes(call):

@@ -25,6 +25,8 @@ from smoothlab.errors import (
     ThresholdExceededError,
     TooManyPrimesError,
 )
+from smoothlab import primes, smooth_core
+from smoothlab.primes import MAX_SIEVE, primes_upto
 from smoothlab.smooth_core import _class_weights, enumeration_ceiling
 
 KERNEL = SmoothingKernel()
@@ -263,6 +265,33 @@ def test_bigx_boundary_ties_counted():
     ).value
 
 
+@st.composite
+def _smooth_powers(draw):
+    """(base, exponent, y, q) with base y-smooth and base**exponent <= 10^5, so
+    the lattice walk meets exact ties at n = base**exponent."""
+    y = draw(st.floats(min_value=2.0, max_value=13.0))
+    base = 1
+    for p in (p for p in (2, 3, 5, 7, 11, 13) if p <= y):
+        room = 0
+        while base * p ** (room + 1) <= 10**5:
+            room += 1
+        base *= p ** draw(st.integers(min_value=0, max_value=min(room, 4)))
+    if base == 1:
+        base = 2
+    top = 1
+    while base ** (top + 1) <= 10**5:
+        top += 1
+    exponent = draw(st.integers(min_value=1, max_value=top))
+    return base, exponent, y, draw(st.integers(min_value=1, max_value=12))
+
+
+@given(_smooth_powers())
+def test_bigx_matches_enumeration_at_smooth_powers(case):
+    base, exponent, y, q = case
+    plain = count_smooth(SmoothCountQuery(x=float(base**exponent), y=y, q=q)).value
+    assert count_smooth_bigx((base, exponent), y, q).value == plain
+
+
 def test_bigx_too_many_primes():
     with pytest.raises(TooManyPrimesError):
         count_smooth_bigx((2, 50), 150.0)
@@ -310,6 +339,50 @@ def test_ennola_accuracy_against_lattice_count():
         est = ennola_estimate((2, exponent), y)
         exact = count_smooth_bigx((2, exponent), y).value
         assert abs(est.main_term / exact - 1.0) <= 3.0 * est.error_factor
+
+
+def test_enumeration_walks_only_primes_that_can_occur(monkeypatch):
+    bounds = []
+
+    def recording(y):
+        bounds.append(y)
+        return primes_upto(y)
+
+    monkeypatch.setattr(smooth_core, "primes_upto", recording)
+    for x in (1.0, 30.0, 100.0, 1000.0):
+        for y in (3e7, 1e9):
+            huge_y = SmoothCountQuery(x=x, y=y, q=6)
+            same = SmoothCountQuery(x=x, y=max(2.0, x), q=6)
+            assert count_smooth(huge_y) == count_smooth(same)
+            # the weighted count enumerates up to kernel.hi * x
+            wide = SmoothCountQuery(x=x, y=max(2.0, KERNEL.hi * x), q=6)
+            assert count_smooth_weighted(huge_y, KERNEL) == count_smooth_weighted(wide, KERNEL)
+    assert count_smooth(SmoothCountQuery(x=100, y=3e7)).value == 100
+    assert is_smooth(97, 3e7) and is_smooth(10**6 + 3, 1e9)
+    assert max(bounds) <= KERNEL.hi * 1000
+
+
+def test_sieve_bound_refused_before_sieving():
+    assert MAX_SIEVE == 10**8
+    for y in (MAX_SIEVE + 1, 1e13):
+        with pytest.raises(ValueError, match="exceeds the sieve bound 1e\\+08"):
+            primes_upto(y)
+    with pytest.raises(ValueError, match="exceeds the sieve bound"):
+        is_smooth(10**20, 1e12)
+
+
+def test_sieve_growth_clamped_to_bound(monkeypatch):
+    monkeypatch.setattr(primes, "MAX_SIEVE", 5000)
+    monkeypatch.setattr(primes, "_LIMIT", 0)
+    monkeypatch.setattr(primes, "_PRIMES", [])
+    assert primes.primes_upto(3000)[-1] == 2999
+    # doubling the limit would sieve to 6000; the bound clamps it to 5000
+    assert primes.primes_upto(4000)[-1] == 3989
+    assert primes._LIMIT == 5000
+    want = [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert primes.primes_upto(5000) == want
+    with pytest.raises(ValueError, match="exceeds the sieve bound 5000"):
+        primes.primes_upto(5001)
 
 
 def test_smooth_values_sorted_set_matches_brute():
