@@ -5,6 +5,12 @@ mellin(c+it) dt for any c > 0; here the integral is truncated at height T,
 approximated by composite Gauss-Legendre panels narrow enough to resolve the
 x^(it) oscillation, and the dropped tail is bounded through the measured
 Mellin decay constant.
+
+Everything but L depends on the cell (x, y, q) and the spec alone, not on
+the character: the abscissa, the panel grid, the weighted phase
+weight * mellin(s) * x^s / 2pi on it, and the tail bound.  It is computed
+once per cell (_cell) and shared by all characters mod q, so a character
+costs one grid of Euler products and two sums.
 """
 
 from __future__ import annotations
@@ -69,18 +75,30 @@ class ContourResult:
     quadrature_error_estimate: float
 
 
-@lru_cache(maxsize=64)
-def _phase_grid(
-    kernel: SmoothingKernel, c: float, T: float, n_panels: int, orders: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Panel midpoints of [-T, T], the Gauss offsets of the rules of each
-    order side by side with their weights, and mellin(c + i(mid + offset))
-    on that (panel, offset) grid; all read-only."""
-    _, mid, offsets, weights = panel_grid(-T, T, n_panels, orders)
-    grid = (mid, offsets, weights, kernel.mellin_many(c, mid, offsets))
-    for arr in grid:
+# Eight entries, as _class_weights keeps: callers that take the characters of
+# a few cells in turn (the contour benchmark interleaves four) still hit, and
+# cells that never come back do not pile up.
+@lru_cache(maxsize=8)
+def _cell(
+    kernel: SmoothingKernel, x: float, y: float, q: int, spec: ContourSpec
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """What every character of a cell shares: the abscissa c, the panel
+    midpoints of [-T, T], the Gauss offsets of the full- and half-order
+    rules side by side, the (panel, offset) phase weight * mellin(s) * x^s /
+    2pi at s = c + i(mid + offset), and the tail bound; arrays read-only."""
+    c = spec.c if spec.c is not None else saddle_alpha(x, y).alpha
+    scale = _x_power(x, c) / (2 * math.pi)
+    n_panels = _resolve_panels(x, spec.T, spec)
+    # Both rules use the same panels, so one grid of Mellin values and one of
+    # Euler products serve them; the rules' offsets sit side by side.
+    orders = (spec.order, max(2, spec.order // 2))
+    _, mid, offsets, weights = panel_grid(-spec.T, spec.T, n_panels, orders)
+    mell = kernel.mellin_many(c, mid, offsets)
+    phase = scale * weights * mell * np.exp(1j * math.log(x) * np.add.outer(mid, offsets))
+    chi0_value = euler_product(c, principal_character(q), y).value.real
+    for arr in (mid, offsets, phase):
         arr.setflags(write=False)
-    return grid
+    return c, mid, offsets, phase, truncation_bound(c, spec.T, chi0_value, x, kernel)
 
 
 def _max_panel_width(x: float) -> float:
@@ -121,29 +139,20 @@ def contour_psi(
     order-spec.order rule with the half-order rule on the same panels; that
     difference is the coarse rule's error, so it overstates the error of the
     returned value (see ContourResult).  Both rules read one (panel, offset)
-    grid: the Mellin values come from one mellin_many call cached per
-    (kernel, c, T, panels, orders), which every character of a cell shares,
-    and the Euler products from one euler_product_many call.
+    grid.  The abscissa, the weighted phase weight * mellin(s) * x^s / 2pi
+    and the tail bound come from one cache entry per (kernel, x, y, q,
+    spec), which every character mod q shares; the character adds one
+    euler_product_many call on the grid.
     """
     if not 1 <= x < math.inf:
         raise ValueError("threshold x must be finite and >= 1")
     if not 2 <= y < math.inf:
         raise ValueError("smoothness bound y must be finite and >= 2")
-    c = spec.c if spec.c is not None else saddle_alpha(x, y).alpha
-    scale = _x_power(x, c) / (2 * math.pi)
-    n_panels = _resolve_panels(x, spec.T, spec)
-    # Both rules use the same panels, so one grid of Mellin values and one of
-    # Euler products serve them; the rules' offsets sit side by side.
-    orders = (spec.order, max(2, spec.order // 2))
-    mid, offsets, weights, mell = _phase_grid(kernel, c, spec.T, n_panels, orders)
-    lvals = euler_product_many(c, mid, chi, y, offsets)
-    terms = weights * lvals * mell * np.exp(1j * math.log(x) * np.add.outer(mid, offsets))
-    fine, coarse = (complex(scale * np.sum(rule)) for rule in np.split(terms, [spec.order], axis=1))
-    chi0_value = euler_product(c, principal_character(chi.modulus), y).value.real
+    c, mid, offsets, phase, tail_bound = _cell(kernel, x, y, chi.modulus, spec)
+    terms = phase * euler_product_many(c, mid, chi, y, offsets)
+    fine, coarse = (complex(np.sum(rule)) for rule in np.split(terms, [spec.order], axis=1))
     return ContourResult(
-        value=fine,
-        tail_bound=truncation_bound(c, spec.T, chi0_value, x, kernel),
-        quadrature_error_estimate=abs(fine - coarse),
+        value=fine, tail_bound=tail_bound, quadrature_error_estimate=abs(fine - coarse)
     )
 
 

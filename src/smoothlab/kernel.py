@@ -150,11 +150,17 @@ class SmoothingKernel:
         if not (0 < c < math.inf and np.isfinite(ts).all() and np.isfinite(offsets).all()):
             raise ValueError("Mellin transform requires finite s with Re(s) > 0")
         log_lo = math.log(self.lo)
-        # the largest |ts[k] + offsets[j]| lies at a corner of the grid
+        # the largest |ts[k] + offsets[j]| lies at a corner of the grid; the
+        # sums are taken in Python floats, which overflow to inf silently
         tmax = 0.0
         if ts.size and offsets.size:
-            tmax = max(abs(ts.max() + offsets.max()), abs(ts.min() + offsets.min()))
-        n_panels = self._base_panels(float(tmax))
+            tmax = max(
+                abs(float(ts.max()) + float(offsets.max())),
+                abs(float(ts.min()) + float(offsets.min())),
+            )
+        if tmax == math.inf:
+            raise ValueError("Mellin ordinates ts + offsets overflow a float")
+        n_panels = self._base_panels(tmax)
         _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
         # coeff[i, p] = w_i * phi(e^(mid_p + xi_i))
         coeff = wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))
@@ -183,7 +189,14 @@ class SmoothingKernel:
     def _base_panels(self, tmax: float) -> int:
         # periods of e^(ivt) across [log lo, log hi]
         periods = tmax * math.log(self.hi / self.lo) / (2 * math.pi)
-        return max(6, int(math.ceil(2.5 * periods)) + 2)
+        n_panels = max(6, int(math.ceil(2.5 * periods)) + 2)
+        if n_panels > MAX_PANELS:
+            # panel_grid would refuse it too, but print a count of hundreds of digits
+            raise ValueError(
+                f"panel count {n_panels:.3g} outside [1, {MAX_PANELS}] "
+                f"for Mellin ordinates up to |t| = {tmax:.3g}"
+            )
+        return n_panels
 
     # -- measured decay constant --------------------------------------------
 

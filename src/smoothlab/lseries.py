@@ -18,11 +18,13 @@ from .errors import NearPoleError
 from .primes import primes_upto
 
 POLE_GUARD = 1e-12
-# (row, offset, prime) terms per block of euler_product_many.  Only one
+# (prime, row, offset) terms per block of euler_product_many.  Only one
 # block's arrays are alive at once, so memory does not grow with the number
 # of rows, and at 1 MB of complex per array a block stays in cache: at
 # y = 10^4 this runs twice as fast as blocks of a fixed 16 rows.
 _BLOCK = 1 << 16
+# Relative slack on a bound of |terms|, for the rounding of the computed terms.
+_BOUND_SLACK = 1e-15
 
 
 @dataclass(frozen=True)
@@ -40,10 +42,19 @@ def _support(chi: DirichletCharacter, y: float) -> tuple[np.ndarray, np.ndarray]
     return ps[keep].astype(float), cs[keep]
 
 
-def _guarded(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _guarded(
+    terms: np.ndarray, out: np.ndarray | None = None, max_modulus: float | None = None
+) -> np.ndarray:
     """Factors 1 - terms, written to out when given; raises NearPoleError
-    when one lies within POLE_GUARD of zero."""
+    when one lies within POLE_GUARD of zero.
+
+    max_modulus, when given, bounds |terms|: if 1 - max_modulus (with a
+    rounding slack) clears POLE_GUARD, no factor can come near zero and the
+    factors are not scanned one by one.
+    """
     factors = np.subtract(1.0, terms, out=out)
+    if max_modulus is not None and 1.0 - max_modulus * (1 + _BOUND_SLACK) >= POLE_GUARD:
+        return factors
     if factors.size and np.min(np.abs(factors)) < POLE_GUARD:
         raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero")
     return factors
@@ -79,7 +90,12 @@ def euler_product_many(
 
     p^-s = p^-(c + i ts[k]) * p^(-i offsets[i]) separates, so the row and the
     offset exponentials are formed once and each (node, prime) term costs one
-    complex multiply.  The rows are walked in blocks of about _BLOCK terms.
+    complex multiply.  The rows are walked in blocks of about _BLOCK terms,
+    laid out prime-major, so the product over the primes multiplies whole
+    (row, offset) planes together.  Every term of prime p has modulus
+    |chi(p)| p^-c, so the pole guard scans the factors only when
+    1 - max_p |chi(p)| p^-c comes within POLE_GUARD of zero (c below about
+    1e-12).
     """
     ts = np.asarray(ts, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
@@ -87,15 +103,16 @@ def euler_product_many(
         raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
     ps, cs = _support(chi, y)
     log_p = np.log(ps)
-    spin = np.exp(-1j * np.multiply.outer(offsets, log_p))
-    scale = cs * np.exp(-c * log_p)
+    spin = np.exp(-1j * np.multiply.outer(log_p, offsets))[:, None, :]  # (prime, 1, offset)
+    scale = (cs * np.exp(-c * log_p))[:, None]
+    max_modulus = float(np.max(np.abs(scale), initial=0.0))
     out = np.empty((ts.size, offsets.size), dtype=complex)
     step = max(1, _BLOCK // max(1, spin.size))
     for k in range(0, ts.size, step):
-        rows = scale * np.exp(-1j * np.multiply.outer(ts[k : k + step], log_p))
-        terms = rows[:, None, :] * spin
+        rows = scale * np.exp(-1j * np.multiply.outer(log_p, ts[k : k + step]))
+        terms = rows[:, :, None] * spin  # (prime, row, offset)
         # the factors overwrite the terms: with one more block-sized
         # temporary, malloc handed the heap top back to the system after
         # every block, and faulting it in again doubled this loop's time
-        out[k : k + step] = np.prod(_guarded(terms, out=terms), axis=2)
+        out[k : k + step] = np.prod(_guarded(terms, out=terms, max_modulus=max_modulus), axis=0)
     return 1.0 / out

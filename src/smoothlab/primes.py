@@ -11,6 +11,8 @@ import bisect
 import math
 import threading
 
+import numpy as np
+
 # Largest prime bound the sieve serves: its byte array and prime list at
 # this bound take a few hundred MB, and no caller needs more.
 MAX_SIEVE = 10**8
@@ -47,5 +49,7 @@ def _grow(n: int) -> None:
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
             p += 1
-        _PRIMES = [i for i in range(limit + 1) if sieve[i]]
+        found = np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8))
+        del sieve  # the byte array is freed before the list of ints is built
+        _PRIMES = found.tolist()
         _LIMIT = limit

@@ -18,8 +18,9 @@ from smoothlab import (
     principal_character,
     truncation_bound,
 )
+from smoothlab import contour
 from smoothlab.cli import main
-from smoothlab.contour import MAX_ORDER, _phase_grid
+from smoothlab.contour import MAX_ORDER, _cell
 from smoothlab.kernel import MAX_PANELS, panel_grid
 from smoothlab.lseries import euler_product
 from smoothlab.primes import primes_upto
@@ -150,12 +151,35 @@ def test_abscissa_past_float_range_rejected():
     assert truncation_bound(61.0, 10.0, 1.0, 1e5, KERNEL) > 0
 
 
-def test_one_phase_grid_per_cell():
-    _phase_grid.cache_clear()
-    for chi in character_group(7):
-        contour_psi(3e3, chi, 20.0, KERNEL, ContourSpec(T=40.0))
-    info = _phase_grid.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
+def test_one_cell_entry_per_cell(monkeypatch):
+    calls = {"saddle_alpha": 0, "euler_product": 0}
+
+    def counted(name):
+        func = getattr(contour, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(contour, name, wrapper)
+
+    counted("saddle_alpha")
+    counted("euler_product")
+    _cell.cache_clear()
+    spec = ContourSpec(T=40.0)
+    for q in (7, 5):
+        results = [contour_psi(3e3, chi, 20.0, KERNEL, spec) for chi in character_group(q)]
+        # the tail bound is the cell's, bit for bit what truncation_bound gives
+        c = saddle_alpha(3e3, 20.0).alpha
+        chi0_value = euler_product(c, principal_character(q), 20.0).value.real
+        assert {res.tail_bound for res in results} == {
+            truncation_bound(c, 40.0, chi0_value, 3e3, KERNEL)
+        }
+    info = _cell.cache_info()
+    assert (info.misses, info.hits) == (2, 5 + 3)
+    assert calls == {"saddle_alpha": 2, "euler_product": 2}
+    _, mid, offsets, phase, _ = _cell(KERNEL, 3e3, 20.0, 5, spec)
+    assert not any(arr.flags.writeable for arr in (mid, offsets, phase))
 
 
 def test_trivial_character_reconstruction():

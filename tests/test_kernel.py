@@ -255,3 +255,14 @@ def test_mellin_far_up_the_line_rejected():
     assert panel_grid(0.0, 1.0, MAX_PANELS, (2,))[1].size == MAX_PANELS
     with pytest.raises(ValueError, match="panel count"):
         KERNEL.mellin(1 + 1e12j)
+
+
+def test_mellin_ordinates_near_the_float_range_rejected_in_short():
+    # ts + offsets overflows to inf although both are finite
+    with pytest.raises(ValueError, match="Mellin ordinates ts \\+ offsets overflow a float"):
+        KERNEL.mellin_many(1.0, np.array([1e308]), np.array([1e308]))
+    with pytest.raises(ValueError, match="panel count") as info:
+        KERNEL.mellin(1 + 1e308j)
+    assert str(info.value) == (
+        f"panel count 5.52e+307 outside [1, {MAX_PANELS}] for Mellin ordinates up to |t| = 1e+308"
+    )

@@ -15,8 +15,9 @@ from smoothlab import (
 )
 from smoothlab.errors import NearPoleError
 from smoothlab.kernel import panel_grid
-from smoothlab.lseries import _BLOCK, euler_product_many
+from smoothlab.lseries import _BLOCK, _guarded, euler_product_many
 from smoothlab.primes import primes_upto
+from smoothlab.saddle import saddle_alpha
 
 ZERO = np.array([0.0])
 
@@ -156,6 +157,43 @@ def test_near_pole_guard_in_a_later_block():
     ts[2 * rows + 1] = 0.0
     with pytest.raises(NearPoleError):
         euler_product_many(1e-14, ts, principal_character(1), 3.0, ZERO)
+
+
+def test_guard_bound_clears_near_the_pole():
+    # at c = 1e-11 the bound 1 - 2^-c = 6.9e-12 clears POLE_GUARD, so the
+    # factors are not scanned; the scalar product, which scans, agrees
+    ts = np.array([-1e-3, 0.0, 1e-3])
+    grid = euler_product_many(1e-11, ts, principal_character(1), 3.0, ZERO)
+    want = _scalar_grid(1e-11, ts, principal_character(1), 3.0, ZERO)
+    assert np.all(np.abs(grid - want) <= 1e-12 * np.abs(want))
+    # a bound that clears the guard is trusted: no factor is looked at
+    assert _guarded(np.array([1.0 + 0j]), max_modulus=0.5)[0] == 0
+    with pytest.raises(NearPoleError):
+        _guarded(np.array([1.0 + 0j]), max_modulus=1.0)
+
+
+def _clongdouble_grid(c, ts, chi, y, offsets):
+    """The product at c + i(ts[k] + offsets[j]), formed prime by prime in
+    extended precision."""
+    ps = np.array([p for p in primes_upto(y) if chi(p) != 0], dtype=np.longdouble)
+    cs = np.array([chi(int(p)) for p in ps], dtype=np.clongdouble)
+    t = np.add.outer(ts.astype(np.longdouble), offsets.astype(np.longdouble))
+    s = np.longdouble(c) + 1j * t.astype(np.clongdouble)
+    acc = np.ones(t.shape, dtype=np.clongdouble)
+    for p, cp in zip(ps, cs):
+        acc *= 1 - cp * np.exp(-s * np.log(p))
+    return 1 / acc
+
+
+@pytest.mark.parametrize("q,index", [(3, 1), (7, 1)])
+def test_grid_matches_extended_precision_product(q, index):
+    # the contour grid at x = 1e5, y = 1000, T = 160, at the saddle abscissa
+    chi = character_group(q)[index]
+    c = saddle_alpha(1e5, 1000.0).alpha
+    mid, offsets = _contour_grid(160.0)
+    got = euler_product_many(c, mid, chi, 1000.0, offsets)
+    want = _clongdouble_grid(c, mid, chi, 1000.0, offsets)
+    assert float(np.max(np.abs(got - want) / np.abs(want))) <= 1e-13
 
 
 def test_grid_of_empty_support_is_ones():

@@ -1,6 +1,7 @@
 """Exact smooth counting: enumeration, weights, huge-x lattice, Ennola form."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -297,6 +298,16 @@ def test_bigx_too_many_primes():
         count_smooth_bigx((2, 50), 150.0)
 
 
+@pytest.mark.parametrize("y", [7.0, 11.0])
+def test_bigx_long_walk_refused_before_it_starts(y):
+    # Ennola's main term over the walked primes reads about 4.8e7 leaves at
+    # y = 7 (a walk of tens of seconds) and 5e9 at y = 11
+    start = time.perf_counter()
+    with pytest.raises(ThresholdExceededError, match="lattice walk of about .* leaves"):
+        count_smooth_bigx((2, 1443), y)
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("y", [1.0, 0.5, math.inf])
 @pytest.mark.parametrize("huge_x_entry", [count_smooth_bigx, ennola_estimate])
 def test_huge_x_entries_reject_y_outside_range(huge_x_entry, y):
@@ -383,6 +394,24 @@ def test_sieve_growth_clamped_to_bound(monkeypatch):
     assert primes.primes_upto(5000) == want
     with pytest.raises(ValueError, match="exceeds the sieve bound 5000"):
         primes.primes_upto(5001)
+
+
+def _eratosthenes(n):
+    flags = [True] * (n + 1)
+    flags[0] = flags[1] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            for m in range(p * p, n + 1, p):
+                flags[m] = False
+    return [i for i, flag in enumerate(flags) if flag]
+
+
+def test_sieve_matches_plain_eratosthenes(monkeypatch):
+    monkeypatch.setattr(primes, "_LIMIT", 0)
+    monkeypatch.setattr(primes, "_PRIMES", [])
+    got = primes.primes_upto(10**6)
+    assert got == _eratosthenes(10**6)
+    assert all(type(p) is int for p in got[:10] + got[-10:])
 
 
 def test_smooth_values_sorted_set_matches_brute():
