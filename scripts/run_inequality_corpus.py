@@ -26,7 +26,7 @@ def main() -> int:
         ratio = f"{result.min_ratio:.6f}" if result.min_ratio is not None else "n/a"
         print(
             f"{suite:10s} instances={n:6d} violations={result.violations} "
-            f"min rhs/lhs={ratio} [{time.time() - t0:.1f}s]"
+            f"degenerate={result.degenerate} min rhs/lhs={ratio} [{time.time() - t0:.1f}s]"
         )
 
     grid = calculus_grid()

@@ -134,6 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "suite": suite,
             "instances": len(result.reports),
             "violations": result.violations,
+            "degenerate": result.degenerate,
             "min_ratio": result.min_ratio,
         }
         print(_dump(summary))

@@ -10,7 +10,11 @@ Everything but L depends on the cell (x, y, q) and the spec alone, not on
 the character: the abscissa, the panel grid, the weighted phase
 weight * mellin(s) * x^s / 2pi on it, and the tail bound.  It is computed
 once per cell (_cell) and shared by all characters mod q, so a character
-costs one grid of Euler products and two sums.
+costs one grid of Euler products and two sums.  The Mellin factor of the
+phase comes from the kernel's closed form on the panels above its height H
+(23.5 for the default kernel, so all but the middle 47 of the 2T units at
+T = 160) and from quadrature below it; no truncation height is refused for
+the Mellin factor's sake, only for the panel count of the grid itself.
 """
 
 from __future__ import annotations

@@ -26,7 +26,12 @@ MAX_EULER_Y = 60.0
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One verified instance: lhs <= rhs up to the fixed tolerance policy."""
+    """One verified instance: lhs <= rhs up to the fixed tolerance policy.
+
+    degenerate marks a lemma instance whose Euler product has no primes
+    (y < 2): G = 1, so both sides are the same integral and rhs/lhs is 1 up
+    to rounding, which says nothing about the bound's headroom.
+    """
 
     lhs: float
     rhs: float
@@ -34,9 +39,12 @@ class InequalityReport:
     holds: bool
     seed: int
     label: str = ""
+    degenerate: bool = False
 
 
-def _report(lhs: float, rhs: float, seed: int, label: str) -> InequalityReport:
+def _report(
+    lhs: float, rhs: float, seed: int, label: str, degenerate: bool = False
+) -> InequalityReport:
     lhs, rhs = float(lhs), float(rhs)
     return InequalityReport(
         lhs=lhs,
@@ -45,6 +53,7 @@ def _report(lhs: float, rhs: float, seed: int, label: str) -> InequalityReport:
         holds=bool(lhs <= rhs * (1 + TOL_REL) + TOL_ABS),
         seed=seed,
         label=label,
+        degenerate=degenerate,
     )
 
 
@@ -191,7 +200,7 @@ def _segment_quantities(
 def _check_lemma(spec: RandomEulerSpec, F, split_at: float, label: str) -> InequalityReport:
     lhs, m_sup, gg, g2, g_beta = _segment_quantities(spec, F, split_at)
     rhs = m_sup * (g_beta + math.sqrt(gg * g2))
-    return _report(lhs, rhs, spec.seed, label)
+    return _report(lhs, rhs, spec.seed, label, degenerate=spec.y < 2)
 
 
 def check_lemma1(spec: RandomEulerSpec, F) -> InequalityReport:
@@ -322,6 +331,7 @@ class SuiteResult:
     suite: str
     reports: list[InequalityReport]
     violations: int
+    degenerate: int  # reports marked degenerate, left out of min_ratio
     min_ratio: float | None  # smallest rhs/lhs seen (majorant headroom record)
 
 
@@ -373,10 +383,11 @@ def run_suite(suite: str, count: int, seed_base: int = 0) -> SuiteResult:
         raise ValueError(f"suite must be one of {SUITES}")
     reports = [_run_one(suite, seed_base + i) for i in range(count)]
     violations = sum(1 for rep in reports if not rep.holds)
-    ratios = [rep.rhs / rep.lhs for rep in reports if rep.lhs > 0]
+    ratios = [rep.rhs / rep.lhs for rep in reports if rep.lhs > 0 and not rep.degenerate]
     return SuiteResult(
         suite=suite,
         reports=reports,
         violations=violations,
+        degenerate=sum(1 for rep in reports if rep.degenerate),
         min_ratio=float(min(ratios)) if ratios else None,
     )

@@ -259,6 +259,19 @@ def test_lemma_mini_corpus(suite):
     assert len(result.reports) == 60
 
 
+@pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
+def test_degenerate_lemma_draws_counted_apart(suite):
+    # seeds 32-35 and 52-54 hold the draws 34 and 53 with y < 2: no primes,
+    # so rhs/lhs is 1 up to rounding and says nothing about headroom
+    for base, count in ((32, 4), (52, 3)):
+        result = run_suite(suite, count, seed_base=base)
+        marked = [rep.seed for rep in result.reports if rep.degenerate]
+        assert marked == [s for s in range(base, base + count) if _draw_euler_instance(s)[0].y < 2]
+        assert result.degenerate == len(marked) == 1
+        kept = [rep.rhs / rep.lhs for rep in result.reports if not rep.degenerate]
+        assert result.min_ratio == min(kept) > 1.0
+
+
 def test_suite_reports_deterministic():
     a = run_suite("lemma1", 10, seed_base=40)
     b = run_suite("lemma1", 10, seed_base=40)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from smoothlab import SmoothingKernel
-from smoothlab.kernel import _STEP_COEFFS, MAX_PANELS, panel_grid
+from smoothlab.kernel import _STEP_COEFFS, MAX_PANELS, _pochhammer_coeffs, panel_grid
 
 KERNEL = SmoothingKernel()
+NARROW = SmoothingKernel(lo=0.9, hi=1.0)
 
 
 def test_plateau_and_support():
@@ -123,7 +124,7 @@ def test_mellin_many_matches_mpmath_quadrature_high_ordinates(c):
 
 @pytest.mark.parametrize("kernel", [KERNEL, SmoothingKernel(lo=0.9, hi=1.0)])
 def test_mellin_many_batch_matches_scalar(kernel):
-    # the batch takes its panel count from max |t| = 400, each scalar call from its own |t|
+    # the batch's rows below H share one panel count, each scalar call takes its own |t|'s
     ts = np.concatenate([np.linspace(-6.0, 6.0, 40), np.geomspace(6.5, 400.0, 60)])
     got = kernel.mellin_many(0.9, ts, (0.0,))
     assert got.shape == (100, 1)
@@ -167,12 +168,87 @@ def _single_axis(kernel, c, ts):
     return np.exp(s * math.log(kernel.lo)) / s + np.sum(np.exp(np.outer(s, mid)) * inner, axis=1)
 
 
+def _height(kernel):
+    """The |t| from which mellin_many takes the closed form."""
+    return _pochhammer_coeffs(kernel.lo, kernel.hi)[2]
+
+
 @pytest.mark.parametrize("c", [0.3, 0.9, 1.5])
 def test_flat_offsets_match_single_axis_engine(c):
-    # 3040 ordinates up to |t| = 400 span several blocks
+    # 3040 ordinates up to |t| = 400 span several blocks; the rows below H
+    # are integrated on the panels of their own largest |t|, the rows above
+    # it take the closed form
     ts = np.concatenate([np.linspace(-6.0, 6.0, 40), np.geomspace(6.5, 400.0, 3000)])
-    got = KERNEL.mellin_many(c, ts, (0.0,))
-    assert np.max(np.abs(got[:, 0] - _single_axis(KERNEL, c, ts))) <= 1e-15
+    got = KERNEL.mellin_many(c, ts, (0.0,))[:, 0]
+    below = np.abs(ts) < _height(KERNEL)
+    assert 0 < np.count_nonzero(below) < ts.size
+    assert np.max(np.abs(got[below] - _single_axis(KERNEL, c, ts[below]))) <= 1e-15
+    # the lowest row above H and the row nearest t = 301
+    for k in (np.flatnonzero(~below)[0], np.argmin(np.abs(ts - 301.0))):
+        assert abs(got[k] - _mpmath_mellin(KERNEL, complex(c, ts[k]))) <= 1e-15
+
+
+def _mpmath_mellin_far(kernel, s: complex, dps: int = 30) -> complex:
+    """dps-digit reference for |Im s| >= 1000, where _mpmath_mellin needs
+    hundreds of panels.  By Cauchy's theorem the transition integral over
+    [lo, hi] equals the integrals over the arcs r e^(i phi), phi from 0 to
+    theta = 4 dps / Im s, at r = lo (forward) and r = hi (backward), plus the
+    ray at angle theta between them.  On the arcs t^s = r^s e^(i s phi)
+    decays like e^(-|Im s| phi).  On the ray |t^(s-1)| = r^(c-1) e^(-4 dps)
+    and, for both kernels here and dps <= 30 or |Im s| >= 1e12,
+    |u| <= 1 + hi theta / (hi - lo) <= 3, so with sum |c_k| = 3.3e7 the ray
+    is below 10^(18 - 1.7 dps) for c <= 4 and is dropped.  The plateau
+    lo^s / s and the arcs cancel to M(s), so the error is about
+    10^-dps |lo^s / s| besides."""
+    with mpmath.workdps(dps):
+        lo, hi, s = mpmath.mpf(kernel.lo), mpmath.mpf(kernel.hi), mpmath.mpc(s)
+        theta = 4 * dps / s.imag
+
+        def arc(r):
+            def integrand(phi):
+                u = (hi - r * mpmath.expj(phi)) / (hi - lo)
+                smooth = u**10 * mpmath.polyval(_STEP_COEFFS[::-1], u)
+                return 1j * smooth * mpmath.exp(s * (mpmath.log(r) + 1j * phi))
+
+            return mpmath.quad(integrand, [0, theta / 8, theta])
+
+        return complex(lo**s / s + arc(lo) - arc(hi))
+
+
+def test_far_reference_matches_mpmath_quadrature():
+    for t in (1000.0, -1000.0):
+        s = complex(0.7, t)
+        assert abs(_mpmath_mellin_far(NARROW, s) - _mpmath_mellin(NARROW, s)) <= 1e-25
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, NARROW])
+@pytest.mark.parametrize("c", [0.02, 0.3, 1.5, 4.0])
+def test_closed_form_matches_mpmath(kernel, c):
+    height = _height(kernel)
+    near = np.array([1.001, 1.2, 2.0]) * height
+    far = np.array([1e3, 5e3])
+    ts = np.concatenate([near, -far])
+    got = kernel.mellin_many(c, ts, (0.0,))[:, 0]
+    want = [_mpmath_mellin(kernel, complex(c, t)) for t in near]
+    want += [_mpmath_mellin_far(kernel, complex(c, t)) for t in -far]
+    assert np.max(np.abs(got - want)) <= 1e-16 * kernel.hi**c
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, NARROW])
+def test_grid_straddling_the_closed_form_height_matches_scalar(kernel):
+    height = _height(kernel)
+    rows = np.concatenate(
+        [np.linspace(-height - 2, -height + 2, 9), np.linspace(height - 2, height + 2, 9)]
+    )
+    offsets = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
+    grid = kernel.mellin_many(0.8, rows, offsets)
+    ordinates = np.add.outer(rows, offsets)
+    # some rows lie wholly above H, some wholly below, some across it
+    reach = np.abs(ordinates) >= height
+    assert reach.all(axis=1).any() and (~reach).all(axis=1).any()
+    assert (reach.any(axis=1) & ~reach.all(axis=1)).any()
+    want = np.vectorize(lambda t: kernel.mellin(complex(0.8, t)))(ordinates)
+    assert np.max(np.abs(grid - want)) <= 1e-15
 
 
 def test_phase_grid_memory_flat_in_truncation_height():
@@ -219,6 +295,16 @@ def test_decay_product_stable_under_refinement():
     assert KERNEL.decay_constant() >= sups[1]
 
 
+def test_decay_product_falls_far_up_the_line():
+    # |M(s)| |s| (|s| + 1)^8 falls like |t|^-2 once the |t|^-11 decay of the
+    # transform shows; a rounding floor of fixed size would make it grow
+    ts = np.array([100.0, 200.0, 300.0, 400.0])
+    vals = KERNEL.mellin_many(0.1, ts, (0.0,))[:, 0]
+    mod_s = np.hypot(0.1, ts)
+    prod = np.abs(vals) * mod_s * (mod_s + 1.0) ** 8
+    assert np.all(np.diff(prod) < 0)
+
+
 def test_rescaled_kernel_for_unsmoothing_family():
     k = SmoothingKernel(lo=0.9, hi=1.0)
     assert k.phi(0.9) == 1.0
@@ -251,18 +337,23 @@ def test_panel_count_outside_cap_rejected(n_panels):
         panel_grid(0.0, 1.0, n_panels, (16,))
 
 
-def test_mellin_far_up_the_line_rejected():
+def test_mellin_far_up_the_line_answered():
     assert panel_grid(0.0, 1.0, MAX_PANELS, (2,))[1].size == MAX_PANELS
-    with pytest.raises(ValueError, match="panel count"):
-        KERNEL.mellin(1 + 1e12j)
+    # about -1.06e-119 - 5.46e-120i, where lo^s / s is 5e-13: 150 digits
+    # leave the reference good to 1e-160; the float phase t log 2 to 1e-4
+    got = KERNEL.mellin(1 + 1e12j)
+    assert got == pytest.approx(_mpmath_mellin_far(KERNEL, 1 + 1e12j, dps=150), rel=1e-3, abs=0)
 
 
-def test_mellin_ordinates_near_the_float_range_rejected_in_short():
+def test_mellin_ordinates_near_the_float_range(recwarn):
     # ts + offsets overflows to inf although both are finite
     with pytest.raises(ValueError, match="Mellin ordinates ts \\+ offsets overflow a float"):
         KERNEL.mellin_many(1.0, np.array([1e308]), np.array([1e308]))
-    with pytest.raises(ValueError, match="panel count") as info:
-        KERNEL.mellin(1 + 1e308j)
-    assert str(info.value) == (
-        f"panel count 5.52e+307 outside [1, {MAX_PANELS}] for Mellin ordinates up to |t| = 1e+308"
-    )
+    # the phase t log hi overflows although t does not
+    with pytest.raises(ValueError, match="overflow a float"):
+        SmoothingKernel(lo=0.5, hi=10.0).mellin(1 + 1e308j)
+    # finite ordinates far up the line underflow towards 0, silently
+    for t in (1e30, -1e30, 1e300, 1.7e308):
+        assert np.isfinite(KERNEL.mellin(complex(1.0, t)))
+    assert KERNEL.mellin(1 + 1e300j) == 0
+    assert not recwarn.list

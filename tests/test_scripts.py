@@ -1,5 +1,6 @@
 """The scripts run end to end at small sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +37,27 @@ def test_script_runs(script, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith(header) for line in proc.stdout.splitlines()), proc.stdout
+
+
+def test_entry_point_timer_reads_each_child_apart():
+    # ru_maxrss of a child counts the RSS it had before exec, which is its
+    # parent's, so the timer runs in a small process of its own, as it does
+    # when run as a script
+    probe = """
+import importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("timer", sys.argv[1])
+timer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(timer)
+big = timer._run([sys.executable, "-c", "x = bytearray(96 << 20)"], dict(os.environ))
+small = timer._run([sys.executable, "-c", "raise SystemExit(3)"], dict(os.environ))
+print(json.dumps([big, small]))
+"""
+    path = ROOT / "scripts" / "time_entry_points.py"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(path)], capture_output=True, text=True, timeout=60
+    )
+    big, small = json.loads(proc.stdout)
+    assert big["exit"] == 0 and big["peak_rss_mb"] >= 96
+    # the second child's peak is its own, not the larger one of the first
+    assert small["exit"] == 3 and small["peak_rss_mb"] < 96
+    assert big["wall_s"] > 0 and small["wall_s"] > 0
