@@ -3,8 +3,8 @@
 The weighted count equals (1/2pi) int_{-inf}^{inf} L(c+it) x^(c+it)
 mellin(c+it) dt for any c > 0; here the integral is truncated at height T,
 approximated by composite Gauss-Legendre panels narrow enough to resolve the
-x^(it) oscillation, and the dropped tail is bounded through the measured
-Mellin decay constant.
+x^(it) oscillation, and the dropped tail is bounded, for every c > 0, by
+x^c L(c, chi0; y) times the kernel's proved mellin_tail(c, T).
 
 Everything but L depends on the cell (x, y, q) and the spec alone, not on
 the character: the abscissa, the panel grid, the weighted phase
@@ -65,7 +65,7 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class ContourResult:
-    """The truncated integral, a bound on the dropped tail, and an error estimate.
+    """The truncated integral, a proved bound on the dropped tail, and an error estimate.
 
     quadrature_error_estimate is |rule(order) - rule(order // 2)| on the same
     panels, so it measures the coarse rule and overstates the error of value,
@@ -163,11 +163,11 @@ def contour_psi(
 def truncation_bound(
     c: float, T: float, chi0_value: float, x: float, kernel: SmoothingKernel
 ) -> float:
-    """Bound C * x^c * L(c, chi0; y) / (8 T^8) on the dropped |t| > T tail,
-    with C the measured Mellin decay constant of the kernel."""
+    """Bound x^c L(c, chi0; y) kernel.mellin_tail(c, T) on the dropped |t| > T
+    tail for every c > 0, as |L(c+it, chi)| <= L(c, chi0; y) = chi0_value."""
     if not 1 <= T < math.inf:
         raise ValueError("need finite T >= 1")
-    return kernel.decay_constant() * _x_power(x, c) * chi0_value / (8.0 * T**8)
+    return _x_power(x, c) * chi0_value * kernel.mellin_tail(c, T)
 
 
 @dataclass(frozen=True)

@@ -378,9 +378,11 @@ def _run_one(suite: str, seed: int) -> InequalityReport:
 
 
 def run_suite(suite: str, count: int, seed_base: int = 0) -> SuiteResult:
-    """Run `count` seeded instances of one suite; reports come in seed order."""
+    """Run `count` >= 0 seeded instances of one suite; reports come in seed order."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
+    if count < 0:
+        raise ValueError(f"seed count must be >= 0, got {count}")
     reports = [_run_one(suite, seed_base + i) for i in range(count)]
     violations = sum(1 for rep in reports if not rep.holds)
     ratios = [rep.rhs / rep.lhs for rep in reports if rep.lhs > 0 and not rep.degenerate]

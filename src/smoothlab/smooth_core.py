@@ -218,6 +218,18 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     estimated by Ennola's main term over the walked primes (all but the
     smallest), exceeds MAX_LATTICE_LEAVES raises ThresholdExceededError
     before it starts.
+
+    So does a log budget B = exponent * log(base) whose float rounding could
+    reach the guard band, which no leaf bound catches when a single prime is
+    walked.  With u = 2^-53 and each log good to one ulp (2u): B carries the
+    roundings of the exponent, the log and the product (4u B); each of the
+    depth walked primes adds to spent those of its log, of e log p and of
+    the sum (4u B); the leaf's gap |(B - spent) / log p0 - m| log p0 those
+    of the difference, the quotient and twice the log (6u B), and the loop's
+    spent <= B + LOG_GUARD test those of its sum (u B).  So every comparison
+    is off by less than (4 depth + 10) u (B + LOG_GUARD), and the walk is
+    refused when that reaches LOG_GUARD: B of about 9.0e5 for one prime, 6.4e5
+    for two.  An exponent past the float range counts as B = inf.
     """
     base, exponent = bigx
     plist = _lattice_primes(bigx, y, q)
@@ -228,7 +240,16 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     if not plist:
         return SmoothCount(1, exact=True)  # only n = 1
 
-    budget = exponent * math.log(base)
+    try:
+        budget = exponent * math.log(base)
+    except OverflowError:
+        budget = math.inf
+    depth = len(plist) - 1
+    if (4 * depth + 10) * 2.0**-53 * (budget + LOG_GUARD) >= LOG_GUARD:
+        raise ThresholdExceededError(
+            f"log budget {budget:.3g} too large for an exact count: its float rounding "
+            f"would reach the guard band {LOG_GUARD:g}"
+        )
     leaves = _simplex_count(budget, plist[1:])
     if leaves > MAX_LATTICE_LEAVES:
         raise ThresholdExceededError(
@@ -240,7 +261,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     # boundary ties settled exactly.  path[i] is the exponent of rest[i].
     rest = [(p, math.log(p)) for p in reversed(plist[1:])]
     path = [0] * len(rest)
-    depth, limit = len(rest), budget + LOG_GUARD
+    limit = budget + LOG_GUARD
 
     def visit(i: int, spent: float) -> int:
         if i == depth:

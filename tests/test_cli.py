@@ -152,6 +152,12 @@ def test_lfun_argument_errors(capsys):
             ["lfun", "1.2", "0.5", "5", "1", "1e13"],
             "prime bound 1e+13 exceeds the sieve bound 1e+08",
         ),
+        (
+            ["contour", "--x", "1.5", "--y", "2", "--q", "1", "--chi", "0", "--T", "10"]
+            + ["--c", "1200"],
+            "abscissa c=1200 too large for the kernel (lo=0.5, hi=2): c log hi exceeds 675.8",
+        ),
+        (["verify", "--suite", "majorant", "--seeds", "-3"], "seed count must be >= 0, got -3"),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
@@ -161,6 +167,7 @@ def test_lfun_argument_errors(capsys):
         "contour_order_above_cap", "contour_abscissa_overflows",
         "contour_panels_above_cap_by_height", "contour_panels_above_cap_by_width",
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
+        "contour_abscissa_past_kernel_range", "verify_negative_seeds",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, argv, message):

@@ -21,7 +21,7 @@ from smoothlab import (
 from smoothlab import contour
 from smoothlab.cli import main
 from smoothlab.contour import MAX_ORDER, _cell
-from smoothlab.kernel import MAX_PANELS, panel_grid
+from smoothlab.kernel import MAX_PANELS, _pochhammer_coeffs, panel_grid
 from smoothlab.lseries import euler_product
 from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
@@ -215,6 +215,16 @@ def test_conjugation_symmetry():
     assert abs(minus - plus.conjugate()) < 1e-10
 
 
+def test_large_abscissa_inside_envelope():
+    # far off the saddle the value is 1.18e15 for a count of 13.48; the
+    # tail bound must cover that error at every c
+    chi = principal_character(1)
+    res = contour_psi(30.0, chi, 3.0, KERNEL, ContourSpec(T=30.0, c=12.0))
+    want = _direct(30.0, chi, 3.0)
+    assert abs(res.value - want) > 1e14
+    assert abs(res.value - want) <= res.tail_bound + 10 * res.quadrature_error_estimate
+
+
 def test_degenerate_truncation_height():
     chi = principal_character(1)
     res = contour_psi(100.0, chi, 5.0, KERNEL, ContourSpec(T=1.0))
@@ -241,11 +251,17 @@ def test_panel_width_invariant_enforced():
 
 def test_truncation_bound_shape():
     l_val = euler_product(0.7, principal_character(16), 100.0).value.real
-    b1 = truncation_bound(0.7, 10.0, l_val, 1e4, KERNEL)
-    b2 = truncation_bound(0.7, 20.0, l_val, 1e4, KERNEL)
-    b3 = truncation_bound(0.7, 40.0, l_val, 1e4, KERNEL)
-    assert b1 > b2 > b3 > 0
-    assert b1 / b2 == pytest.approx(256.0, rel=1e-12)
+    heights = np.geomspace(1.0, 640.0, 60)
+    bounds = np.array([truncation_bound(0.7, T, l_val, 1e4, KERNEL) for T in heights])
+    assert np.all(np.diff(bounds) < 0) and bounds[-1] > 0
+    # above H only the Pochhammer terms j >= 10 are left, so doubling T
+    # divides the bound by at least 2^10
+    height = _pochhammer_coeffs(KERNEL.lo, KERNEL.hi)[2]
+    for T in heights[heights >= height]:
+        ratio = truncation_bound(0.7, T, l_val, 1e4, KERNEL) / truncation_bound(
+            0.7, 2 * T, l_val, 1e4, KERNEL
+        )
+        assert ratio >= 2.0**10
     # at the (y q)^(1/4) cut height the bound is finite and positive
     cut = (100.0 * 16) ** 0.25
     assert truncation_bound(0.7, cut, l_val, 1e4, KERNEL) > 0

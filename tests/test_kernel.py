@@ -118,7 +118,7 @@ def test_mellin_many_matches_mpmath_quadrature():
 def test_mellin_many_matches_mpmath_quadrature_high_ordinates(c):
     ts = np.array([-160.0, 400.0])
     got = KERNEL.mellin_many(c, ts, (0.0,))[:, 0]
-    want = np.array([_mpmath_mellin(KERNEL, complex(c, t)) for t in ts])
+    want = np.array([_mpmath_mellin_far(KERNEL, complex(c, t)) for t in ts])
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -184,20 +184,22 @@ def test_flat_offsets_match_single_axis_engine(c):
     assert 0 < np.count_nonzero(below) < ts.size
     assert np.max(np.abs(got[below] - _single_axis(KERNEL, c, ts[below]))) <= 1e-15
     # the lowest row above H and the row nearest t = 301
-    for k in (np.flatnonzero(~below)[0], np.argmin(np.abs(ts - 301.0))):
-        assert abs(got[k] - _mpmath_mellin(KERNEL, complex(c, ts[k]))) <= 1e-15
+    first, high = np.flatnonzero(~below)[0], np.argmin(np.abs(ts - 301.0))
+    assert abs(got[first] - _mpmath_mellin(KERNEL, complex(c, ts[first]))) <= 1e-15
+    assert abs(got[high] - _mpmath_mellin_far(KERNEL, complex(c, ts[high]))) <= 1e-15
 
 
 def _mpmath_mellin_far(kernel, s: complex, dps: int = 30) -> complex:
-    """dps-digit reference for |Im s| >= 1000, where _mpmath_mellin needs
-    hundreds of panels.  By Cauchy's theorem the transition integral over
-    [lo, hi] equals the integrals over the arcs r e^(i phi), phi from 0 to
-    theta = 4 dps / Im s, at r = lo (forward) and r = hi (backward), plus the
-    ray at angle theta between them.  On the arcs t^s = r^s e^(i s phi)
-    decays like e^(-|Im s| phi).  On the ray |t^(s-1)| = r^(c-1) e^(-4 dps)
-    and, for both kernels here and dps <= 30 or |Im s| >= 1e12,
-    |u| <= 1 + hi theta / (hi - lo) <= 3, so with sum |c_k| = 3.3e7 the ray
-    is below 10^(18 - 1.7 dps) for c <= 4 and is dropped.  The plateau
+    """dps-digit reference for |Im s| >= 2 dps hi / (hi - lo) (80 for the
+    default kernel and 600 for lo = 0.9, hi = 1 at 30 digits), where
+    _mpmath_mellin's panel count grows with |Im s|.  By Cauchy's theorem the
+    transition integral over [lo, hi] equals the integrals over the arcs
+    r e^(i phi), phi from 0 to theta = 4 dps / Im s, at r = lo (forward) and
+    r = hi (backward), plus the ray at angle theta between them.  On the
+    arcs t^s = r^s e^(i s phi) decays like e^(-|Im s| phi).  On the ray
+    |t^(s-1)| = r^(c-1) e^(-4 dps) and, for |Im s| as above,
+    |u| <= 1 + hi |theta| / (hi - lo) <= 3, so with sum |c_k| = 3.3e7 the
+    ray is below 10^(18 - 1.7 dps) for c <= 4 and is dropped.  The plateau
     lo^s / s and the arcs cancel to M(s), so the error is about
     10^-dps |lo^s / s| besides."""
     with mpmath.workdps(dps):
@@ -216,9 +218,9 @@ def _mpmath_mellin_far(kernel, s: complex, dps: int = 30) -> complex:
 
 
 def test_far_reference_matches_mpmath_quadrature():
-    for t in (1000.0, -1000.0):
+    for kernel, t in ((NARROW, 1000.0), (NARROW, -1000.0), (KERNEL, 400.0)):
         s = complex(0.7, t)
-        assert abs(_mpmath_mellin_far(NARROW, s) - _mpmath_mellin(NARROW, s)) <= 1e-25
+        assert abs(_mpmath_mellin_far(kernel, s) - _mpmath_mellin(kernel, s)) <= 1e-25
 
 
 @pytest.mark.parametrize("kernel", [KERNEL, NARROW])
@@ -266,7 +268,7 @@ def test_phase_grid_memory_flat_in_truncation_height():
     assert working[640.0] <= 1.5 * working[160.0]
 
 
-def test_mellin_domain_error():
+def test_mellin_domain_error(recwarn):
     with pytest.raises(ValueError):
         KERNEL.mellin(0.0)
     with pytest.raises(ValueError):
@@ -274,6 +276,18 @@ def test_mellin_domain_error():
     for c in (0.0, -1.0):
         with pytest.raises(ValueError):
             KERNEL.mellin_many(c, np.array([1.0]), (0.0,))
+    # hi^c D passes the float range: refused before any value is formed
+    for s in (1100 + 30j, 1100.0, 980 + 30j):
+        with pytest.raises(ValueError, match="abscissa c=.* too large for the kernel"):
+            KERNEL.mellin(s)
+    with pytest.raises(ValueError, match="too large for the kernel"):
+        KERNEL.mellin_tail(1200.0, 10.0)
+    # just inside the limit the closed form and the quadrature stay finite
+    limit = (math.log(np.finfo(float).max) - math.log(KERNEL.decay_constant())) / math.log(2.0)
+    limit *= 1 - 1e-12
+    assert np.isfinite(KERNEL.mellin_many(limit, np.array([0.0, 30.0, 1e4]), (0.0,))).all()
+    assert math.isfinite(KERNEL.mellin_tail(limit, 1.0))
+    assert not recwarn.list
 
 
 def test_mellin_lower_bound_on_unit_interval():
@@ -292,7 +306,12 @@ def test_decay_product_stable_under_refinement():
             best = max(best, float(np.max(np.abs(vals) * mod_s * (mod_s + 1) ** 8)))
         sups.append(best)
     assert max(sups) / min(sups) < 2.0
-    assert KERNEL.decay_constant() >= sups[1]
+    # the proved decay constant bounds the refined sample wherever it holds
+    ts = np.geomspace(1.0, 100.0, 160)
+    ts = ts[ts >= _height(KERNEL)]
+    for sigma in np.linspace(0.5, 1.5, 12):
+        vals = KERNEL.mellin_many(float(sigma), ts, (0.0,))[:, 0]
+        assert np.all(np.abs(vals) <= KERNEL.hi**sigma * KERNEL.decay_constant() * ts**-11.0)
 
 
 def test_decay_product_falls_far_up_the_line():
@@ -303,6 +322,39 @@ def test_decay_product_falls_far_up_the_line():
     mod_s = np.hypot(0.1, ts)
     prod = np.abs(vals) * mod_s * (mod_s + 1.0) ** 8
     assert np.all(np.diff(prod) < 0)
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, NARROW])
+@pytest.mark.parametrize("c", [0.05, 0.85, 1.5, 5.0, 12.0])
+def test_mellin_tail_bounds_dense_integral(kernel, c):
+    # (1/pi) int_T^U |M(c + it)| dt by the trapezoid rule on 4e5 geometric
+    # nodes, U = 2e4: past U the integral is below 1e-12 of the T = 640 one
+    heights = [1.0, 10.0, _height(kernel), 40.0, 160.0, 640.0]
+    ts = np.unique(np.concatenate([np.geomspace(1.0, 2e4, 400_000), heights]))
+    mod = np.abs(kernel.mellin_many(c, ts, (0.0,))[:, 0])
+    tail = np.concatenate([np.cumsum((0.5 * np.diff(ts) * (mod[1:] + mod[:-1]))[::-1])[::-1], [0]])
+    for T in heights:
+        dense = tail[np.searchsorted(ts, T)] / math.pi
+        assert dense > 0
+        assert kernel.mellin_tail(c, T) >= dense
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, NARROW])
+def test_decay_constant_bounds_transform_above_height(kernel):
+    height = _height(kernel)
+    ts = np.geomspace(height, 1e4, 2000)
+    for c in (0.05, 1.5, 12.0):
+        for sign in (1.0, -1.0):
+            vals = kernel.mellin_many(c, sign * ts, (0.0,))[:, 0]
+            assert np.all(np.abs(vals) <= kernel.hi**c * kernel.decay_constant() * ts**-11.0)
+
+
+def test_mellin_tail_far_and_refused():
+    assert KERNEL.mellin_tail(1.0, 1e300) == 0.0
+    assert KERNEL.mellin_tail(1.0, 1.7e308) == 0.0
+    for T in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tail height T must be finite and positive"):
+            KERNEL.mellin_tail(1.0, T)
 
 
 def test_rescaled_kernel_for_unsmoothing_family():

@@ -308,6 +308,40 @@ def test_bigx_long_walk_refused_before_it_starts(y):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "bigx, y, q, exact",
+    [
+        # exact counts floor(exponent log base / log p) + 1 at 80 digits
+        ((5, 103873643), 2.0, 1, 241187131),
+        ((2, 630138897), 3.0, 2, 397573380),
+        ((3, 6586818670), 2.0, 1, 10439860591),
+        ((3, 171928773), 2.0, 1, 272500658),
+        ((2, 10**18), 2.0, 1, 10**18 + 1),
+        ((2, 10**400), 2.0, 1, 10**400 + 1),
+    ],
+)
+def test_bigx_single_prime_walk_exact_or_refused(bigx, y, q, exact):
+    # one walked prime has no leaf bound, so only the rounding of the log
+    # budget decides whether the guard band still settles every comparison
+    start = time.perf_counter()
+    try:
+        got = count_smooth_bigx(bigx, y, q)
+    except ThresholdExceededError as exc:
+        assert "too large for an exact count" in str(exc)
+    else:
+        assert got.value == exact and got.exact
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bigx_budget_inside_rounding_bound_answered():
+    # log budgets 6.9e5 and 8.9e5, below the one-prime bound of about 9.0e5;
+    # the first ends on an exact tie at n = 2^(10^6)
+    assert count_smooth_bigx((2, 10**6), 2.0).value == 10**6 + 1
+    assert count_smooth_bigx((2, 1290000), 3.0, 2).value == 813900
+    with pytest.raises(ThresholdExceededError, match="too large for an exact count"):
+        count_smooth_bigx((2, 1310000), 3.0, 2)
+
+
 @pytest.mark.parametrize("y", [1.0, 0.5, math.inf])
 @pytest.mark.parametrize("huge_x_entry", [count_smooth_bigx, ennola_estimate])
 def test_huge_x_entries_reject_y_outside_range(huge_x_entry, y):
