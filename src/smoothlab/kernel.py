@@ -44,7 +44,8 @@ _BLOCK = 1 << 16
 # node arrays would exhaust memory.
 MAX_PANELS = 1 << 16
 
-# An abscissa whose hi^c times the decay constant passes this is refused.
+# An abscissa whose hi^c times the decay constant, or whose Gauss factor
+# e^(c xi) in the quadrature, passes this is refused.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -193,7 +194,8 @@ class SmoothingKernel:
         the line the closed form underflows to 0, so every finite ordinate
         gets a value; a grid whose ordinates, or their phases t log lo and
         t log hi, overflow a float is refused with a ValueError, and so is
-        an abscissa past the float range (_hi_power).
+        an abscissa past the float range (_hi_power), or past the range of
+        the quadrature's Gauss factors (_quadrature).
         """
         self._hi_power(c)
         ts = np.asarray(ts, dtype=float)
@@ -264,7 +266,9 @@ class SmoothingKernel:
         separates: each row costs n + 24 complex exponentials, the offsets
         n + 24 each once (none for offsets=(0.0,), where each is e^0 = 1),
         and the sum over xi_i is a matrix product with 24 rows.  The rows
-        are walked in blocks of about _BLOCK terms.
+        are walked in blocks of about _BLOCK terms.  An abscissa c whose
+        e^(c xi_i) would overflow, c times the half-panel past the float
+        range, is refused with a ValueError before any exponential.
         """
         log_lo = math.log(self.lo)
         tmax = max(
@@ -272,6 +276,13 @@ class SmoothingKernel:
             abs(float(ts.min()) + float(offsets.min())),
         )
         n_panels = self._base_panels(tmax)
+        # e^(c xi_i) must stay a float for every Gauss offset, |xi_i| < half
+        half = math.log(self.hi / self.lo) / (2 * n_panels)
+        if c * half > _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"abscissa c={c:g} too large for the kernel quadrature (lo={self.lo:g}, "
+                f"hi={self.hi:g}): c times the half-panel {half:.4g} exceeds {_LOG_FLOAT_MAX:.4g}"
+            )
         _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
         # coeff[i, p] = w_i * phi(e^(mid_p + xi_i))
         coeff = wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))

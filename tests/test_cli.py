@@ -139,6 +139,11 @@ def test_lfun_argument_errors(capsys):
             "abscissa c=70 too large for x=100000: x^c overflows a float",
         ),
         (
+            ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
+            + ["--c", "61"],
+            "abscissa c=61 too large for x=100000 and hi=2: x^c hi^c overflows a float",
+        ),
+        (
             ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "1e12"],
             "panel count 3664677994398 outside [1, 65536]",
         ),
@@ -164,7 +169,7 @@ def test_lfun_argument_errors(capsys):
         "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
-        "contour_order_above_cap", "contour_abscissa_overflows",
+        "contour_order_above_cap", "contour_abscissa_overflows", "contour_abscissa_overflows_hi",
         "contour_panels_above_cap_by_height", "contour_panels_above_cap_by_width",
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
         "contour_abscissa_past_kernel_range", "verify_negative_seeds",

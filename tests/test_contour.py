@@ -22,7 +22,7 @@ from smoothlab import contour
 from smoothlab.cli import main
 from smoothlab.contour import MAX_ORDER, _cell
 from smoothlab.kernel import MAX_PANELS, _pochhammer_coeffs, panel_grid
-from smoothlab.lseries import euler_product
+from smoothlab.lseries import euler_product, euler_product_many
 from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
 
@@ -89,6 +89,11 @@ def _node_by_node(x, chi, y, c, T, order):
 
 @pytest.mark.parametrize("x,y,q", [(1e3, 10.0, 3), (1e4, 30.0, 7), (1e5, 100.0, 12)])
 def test_matches_node_by_node_products(x, y, q):
+    # the half grid keeps the middle panel of an odd count at half weight:
+    # the cases cover an odd count (x = 1e5: 587 panels) and an even one (x = 1e3: 352)
+    n_panels = math.ceil(2 * 160.0 / min(1.0, 2 * math.pi / math.log(x)))
+    assert n_panels == {1e3: 352, 1e4: 470, 1e5: 587}[x]
+    assert len(_cell(KERNEL, x, y, q, ContourSpec(T=160.0))[1]) == (n_panels + 1) // 2
     c = saddle_alpha(x, y).alpha
     for chi in character_group(q):
         got = contour_psi(x, chi, y, KERNEL, ContourSpec(T=160.0))
@@ -147,8 +152,10 @@ def test_abscissa_past_float_range_rejected():
         contour_psi(1e5, chi, 10.0, KERNEL, ContourSpec(T=10.0, c=70.0))
     with pytest.raises(ValueError, match="abscissa c=70 too large for x=100000"):
         truncation_bound(70.0, 10.0, 1.0, 1e5, KERNEL)
-    # 1e5^61 = 1e305 is still a float
-    assert truncation_bound(61.0, 10.0, 1.0, 1e5, KERNEL) > 0
+    # 1e5^61 = 1e305 is still a float, but (1e5 hi)^61 = 2.3e323 is not
+    message = "abscissa c=61 too large for x=100000 and hi=2: x\\^c hi\\^c overflows a float"
+    with pytest.raises(ValueError, match=message):
+        truncation_bound(61.0, 10.0, 1.0, 1e5, KERNEL)
 
 
 def test_one_cell_entry_per_cell(monkeypatch):
@@ -178,8 +185,28 @@ def test_one_cell_entry_per_cell(monkeypatch):
     info = _cell.cache_info()
     assert (info.misses, info.hits) == (2, 5 + 3)
     assert calls == {"saddle_alpha": 2, "euler_product": 2}
-    _, mid, offsets, phase, _ = _cell(KERNEL, 3e3, 20.0, 5, spec)
+    _, mid, offsets, phase, _, _ = _cell(KERNEL, 3e3, 20.0, 5, spec)
     assert not any(arr.flags.writeable for arr in (mid, offsets, phase))
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_one_euler_grid_per_character_of_a_cell(monkeypatch, reverse):
+    calls = []
+
+    def counted(c, ts, chi, y, offsets):
+        calls.append(chi.exponents)
+        return euler_product_many(c, ts, chi, y, offsets)
+
+    monkeypatch.setattr(contour, "euler_product_many", counted)
+    _cell.cache_clear()
+    spec = ContourSpec(T=40.0)
+    for q in (3, 5, 7, 8, 12, 13):
+        chars = list(character_group(q))
+        calls.clear()
+        for chi in reversed(chars) if reverse else chars:
+            contour_psi(3e3, chi, 20.0, KERNEL, spec)
+        # every character's half grid once; its conjugate reads the memo
+        assert sorted(calls) == sorted(chi.exponents for chi in chars)
 
 
 def test_trivial_character_reconstruction():
@@ -212,7 +239,15 @@ def test_conjugation_symmetry():
     spec = ContourSpec(T=40.0)
     plus = contour_psi(500.0, chi, 10.0, KERNEL, spec).value
     minus = contour_psi(500.0, chi.conjugate(), 10.0, KERNEL, spec).value
-    assert abs(minus - plus.conjugate()) < 1e-10
+    assert minus == plus.conjugate()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 12])
+def test_real_characters_have_real_values(q):
+    real = [chi for chi in character_group(q) if chi.order <= 2]
+    assert len(real) >= 2
+    for chi in real:
+        assert contour_psi(1e3, chi, 30.0, KERNEL, ContourSpec(T=40.0)).value.imag == 0.0
 
 
 def test_large_abscissa_inside_envelope():

@@ -290,6 +290,16 @@ def test_mellin_domain_error(recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.filterwarnings("error")
+def test_quadrature_abscissa_past_gauss_factor_range_refused():
+    # hi = 1 bounds hi^c, but the quadrature's Gauss factor e^(c xi) passes
+    # the float range once c times the half-panel (0.00878 here) exceeds 709.8
+    with pytest.raises(ValueError, match="abscissa c=100000 too large for the kernel quadrature"):
+        NARROW.mellin(1e5 + 30j)
+    got = NARROW.mellin(8e4 + 30j)
+    assert got == pytest.approx(1.3445870892482707e-33 - 8.618431799897109e-36j, rel=1e-12)
+
+
 def test_mellin_lower_bound_on_unit_interval():
     for c in np.linspace(0.02, 1.0, 50):
         assert KERNEL.mellin(float(c)).real >= 1.0 / (2.0 * c)
