@@ -63,7 +63,6 @@ from .smooth_core import (
     count_smooth_bigx,
     count_smooth_weighted,
     ennola_estimate,
-    enumeration_ceiling,
     is_smooth,
     smooth_values,
 )

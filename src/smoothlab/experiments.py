@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .dirichlet import MAX_MODULUS
 from .errors import ExportError
 from .saddle import saddle_alpha
-from .smooth_core import SmoothCountQuery, _enumerate
+from .smooth_core import SmoothCountQuery, smooth_values
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -46,6 +47,8 @@ class ExperimentConfig:
             raise ValueError("qs and order_threshold must be integers")
         if min(self.qs) < 2:
             raise ValueError("every modulus must be >= 2")
+        if max(self.qs) > MAX_MODULUS:
+            raise ValueError(f"modulus {max(self.qs)} exceeds the table bound {MAX_MODULUS}")
         if not all(math.isfinite(x) for x in self.xs):
             raise ValueError("every threshold x must be finite")
         if not all(2 <= y < math.inf for y in self.ys):
@@ -111,7 +114,7 @@ def _class_grid(config: ExperimentConfig):
     since n = 1 is always counted), the units mod q, and a ResultRecord builder
     carrying the point, the equidistributed share and the saddle frame."""
     for x, y, q in itertools.product(config.xs, config.ys, config.qs):
-        values = _enumerate(SmoothCountQuery(x=x, y=y, q=q))
+        values = smooth_values(x, y, q)
         units = [a for a in range(q) if gcd(a, q) == 1]
         sp = saddle_alpha(x, y)
         v = math.log(x) / math.log(q)
@@ -177,10 +180,8 @@ def run_coset(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _unsmoothing_ratios(x: float, y: float, q: int, epsilons: tuple[float, ...]) -> list[float]:
-    """unsmoothing_ratio at every epsilon, from one enumeration up to x."""
-    if any(not 0 <= eps <= 1 for eps in epsilons):
-        raise ValueError("epsilon must lie in [0, 1]")
-    values = np.sort(_enumerate(SmoothCountQuery(x=x, y=y, q=q)))
+    """unsmoothing_ratio at every epsilon in [0, 1], from one enumeration up to x."""
+    values = np.sort(smooth_values(x, y, q))
     total = values.size
     thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
     kept = np.searchsorted(values, thresholds, side="right").tolist()
@@ -192,6 +193,9 @@ def unsmoothing_ratio(x: float, y: float, q: int, epsilon: float) -> float:
 
     Exactly 0 at eps = 0 and exactly 1 once (1 - eps) x < 1.
     """
+    if not 0 <= epsilon <= 1:
+        raise ValueError("epsilon must lie in [0, 1]")
+    SmoothCountQuery(x=x, y=y, q=q)  # refuses x < 1, y < 2 and q < 1
     return _unsmoothing_ratios(x, y, q, (epsilon,))[0]
 
 

@@ -8,7 +8,7 @@ the quadrature tolerance indicates a bug somewhere in this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -290,14 +290,7 @@ def check_pointwise_product(
     first = _report(q2, q1, seed, "pointwise")
     second = _report(q3, q2, seed, "pointwise")
     binding = first if first.slack <= second.slack else second
-    return InequalityReport(
-        lhs=binding.lhs,
-        rhs=binding.rhs,
-        slack=binding.slack,
-        holds=first.holds and second.holds,
-        seed=seed,
-        label="pointwise",
-    )
+    return replace(binding, holds=first.holds and second.holds)
 
 
 # -- elementary calculus bound ------------------------------------------------------

@@ -154,12 +154,7 @@ class SmoothingKernel:
         """Kernel value at t >= 0; exactly 1 below lo and 0 above hi."""
         if t < 0:
             raise ValueError("kernel argument must be nonnegative")
-        if t <= self.lo:
-            return 1.0
-        if t >= self.hi:
-            return 0.0
-        u = (self.hi - t) / (self.hi - self.lo)
-        return float(_smoothstep(np.asarray(u)))
+        return float(self.phi_many(t))
 
     def phi_many(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)

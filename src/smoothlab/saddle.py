@@ -79,13 +79,12 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
     if not converged:
         raise NoConvergenceError(f"saddle iteration did not converge for x={x:g}, y={y:g}")
 
-    residual = abs(value(a) - log_x)
     log_y = math.log(y)
     u = log_x / log_y
     v = log_x / math.log(q) if q is not None and q >= 2 else math.inf
     return SaddlePoint(
         alpha=a,
-        residual=residual,
+        residual=abs(f),
         regime="y>logx" if y > log_x else "y<=logx",
         u=u,
         v=v,

@@ -8,8 +8,8 @@ closed form provides the matching first-order estimate.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,23 +27,19 @@ from .errors import (
 from .kernel import SmoothingKernel
 from .primes import primes_upto
 
-DEFAULT_CEILING = 1e8
-CEILING_ENV = "SMOOTHLAB_CEILING"
+# Largest limit smooth_values enumerates; plain counts past it go to
+# count_smooth_bigx.
+MAX_ENUMERATION = 1e8
 
 # Width of the log-space guard band inside which huge-x comparisons fall back
 # to exact integer arithmetic.
 LOG_GUARD = 1e-9
 
 MAX_LATTICE_PRIMES = 25
-# Largest Ennola estimate of the leaves count_smooth_bigx walks: about three
-# seconds of walk at the 0.5 to 0.7 us a leaf measured on a 2-core Xeon.
+# Most leaves count_smooth_bigx walks: three to four and a half seconds of
+# walk at the 0.55 to 0.9 us a leaf measured with 14 walked primes on a
+# 2-core Xeon.
 MAX_LATTICE_LEAVES = 5e6
-
-
-def enumeration_ceiling() -> float:
-    """Exact-enumeration ceiling; overridable via the SMOOTHLAB_CEILING env var."""
-    raw = os.environ.get(CEILING_ENV)
-    return float(raw) if raw else DEFAULT_CEILING
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,15 @@ def is_smooth(n: int, y: float) -> bool:
 
 def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     """All y-smooth n <= limit built from primes not dividing q, including 1,
-    as an int64 array in generation order."""
+    as an int64 array in generation order.
+
+    A limit above MAX_ENUMERATION raises ThresholdExceededError before
+    anything is built.
+    """
+    if limit > MAX_ENUMERATION:
+        raise ThresholdExceededError(
+            f"enumeration limit {limit:g} exceeds the enumeration ceiling {MAX_ENUMERATION:g}"
+        )
     if limit < 1:
         return np.zeros(0, dtype=np.int64)
     vals = [1]
@@ -113,24 +117,9 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
-def _enumerate(query: SmoothCountQuery, scale: float = 1.0) -> np.ndarray:
-    """smooth_values(scale * x, y, q), refused when the enumeration limit
-    scale * x lies above enumeration_ceiling() (set by SMOOTHLAB_CEILING).
-
-    Every exact enumeration behind a query goes through here.
-    """
-    cap = enumeration_ceiling()
-    limit = scale * query.x
-    if limit > cap:
-        raise ThresholdExceededError(
-            f"enumeration limit {limit:g} exceeds the enumeration ceiling {cap:g}"
-        )
-    return smooth_values(limit, query.y, query.q)
-
-
 def count_smooth(query: SmoothCountQuery) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
-    vals = _enumerate(query)
+    vals = smooth_values(query.x, query.y, query.q)
     if query.a is None:
         return SmoothCount(vals.size, exact=True)
     return SmoothCount(int(np.count_nonzero(vals % query.q == query.a)), exact=True)
@@ -159,9 +148,7 @@ def count_smooth_weighted(
             )
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
-    residues, sums = _class_weights(
-        query.x, query.y, query.q, kernel, enumeration_ceiling()
-    )
+    residues, sums = _class_weights(query.x, query.y, query.q, kernel)
     if chi is not None:
         return SmoothCount(complex(chi.value_table()[residues] @ sums), exact=True)
     if query.a is not None:
@@ -173,17 +160,15 @@ def count_smooth_weighted(
 
 @lru_cache(maxsize=8)
 def _class_weights(
-    x: float, y: float, q: int, kernel: SmoothingKernel, ceiling: float
+    x: float, y: float, q: int, kernel: SmoothingKernel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (residues, sums): the sorted residues a (mod q) of the
     y-smooth n <= kernel.hi * x, and W_a = sum of phi(n/x) over each class.
 
     Residues with no smooth n are left out, so both arrays are as long as
     the number of classes that occur, at most the number of smooth values.
-    The enumeration ceiling is part of the cache key, so a lowered
-    SMOOTHLAB_CEILING misses the cache and _enumerate refuses the limit.
     """
-    vals = _enumerate(SmoothCountQuery(x=x, y=y, q=q), scale=kernel.hi)
+    vals = smooth_values(kernel.hi * x, y, q)
     classes = vals % q
     order = np.argsort(classes, kind="stable")
     runs = classes[order]
@@ -214,10 +199,16 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
 
     Counts exponent vectors (e_p) with sum e_p log p <= exponent * log(base)
     by guarded floating comparison; ties inside the 1e-9 log-space guard band
-    are settled by exact big-integer comparison.  A walk whose leaf count,
-    estimated by Ennola's main term over the walked primes (all but the
-    smallest), exceeds MAX_LATTICE_LEAVES raises ThresholdExceededError
-    before it starts.
+    are settled by exact big-integer comparison.
+
+    A walk of more than MAX_LATTICE_LEAVES leaves raises
+    ThresholdExceededError.  Ennola's main term over the walked primes (all
+    but the smallest) is the volume of the simplex sum e_p log p <= B, and
+    it is a lower bound on the leaf count: every point t of the simplex lies
+    in the unit cube at floor(t), which is a leaf.  So a main term above the
+    cap refuses the walk before it starts, but a main term below it cannot
+    admit one ((2, 35) at y = 47 has a main term of 226 and 637,120
+    leaves); the walk counts its leaves and raises once they pass the cap.
 
     So does a log budget B = exponent * log(base) whose float rounding could
     reach the guard band, which no leaf bound catches when a single prime is
@@ -250,10 +241,10 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
             f"log budget {budget:.3g} too large for an exact count: its float rounding "
             f"would reach the guard band {LOG_GUARD:g}"
         )
-    leaves = _simplex_count(budget, plist[1:])
-    if leaves > MAX_LATTICE_LEAVES:
+    estimate = _simplex_count(budget, plist[1:])
+    if estimate > MAX_LATTICE_LEAVES:
         raise ThresholdExceededError(
-            f"lattice walk of about {leaves:.3g} leaves exceeds the bound {MAX_LATTICE_LEAVES:g}"
+            f"lattice walk of about {estimate:.3g} leaves exceeds the bound {MAX_LATTICE_LEAVES:g}"
         )
     p0, log0 = plist[0], math.log(plist[0])
     # Walk the exponents of the larger primes, largest first; the smallest
@@ -262,9 +253,15 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     rest = [(p, math.log(p)) for p in reversed(plist[1:])]
     path = [0] * len(rest)
     limit = budget + LOG_GUARD
+    leaves = itertools.count(1)
 
     def visit(i: int, spent: float) -> int:
         if i == depth:
+            if next(leaves) > MAX_LATTICE_LEAVES:
+                raise ThresholdExceededError(
+                    f"lattice walk passed the bound of {MAX_LATTICE_LEAVES:g} leaves "
+                    f"(Ennola's main term was {estimate:.3g})"
+                )
             r = (budget - spent) / log0
             m = round(r)
             if abs(r - m) * log0 >= LOG_GUARD:

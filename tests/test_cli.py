@@ -112,6 +112,10 @@ def test_lfun_argument_errors(capsys):
         (["count", "100", "5", "--q", "6", "--a", "2"], "gcd(2, 6) > 1"),
         (["count", "1e9", "10"], "exceeds the enumeration ceiling"),
         (["experiment", "--config", "/nonexistent.json"], "cannot read config /nonexistent.json"),
+        (
+            ["experiment", "--config", {"xs": [100.0], "ys": [5.0], "qs": [1000000007]}],
+            "modulus 1000000007 exceeds the table bound 1000000",
+        ),
         (["lfun", "2", "0"], "lfun: need s-re s-im q chi-index y"),
         (["lfun", "2", "0", "5", "9", "3"], "lfun: chi-index out of range [0, 4)"),
         (
@@ -166,6 +170,7 @@ def test_lfun_argument_errors(capsys):
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling", "missing_config",
+        "experiment_q_above_table_bound",
         "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
@@ -175,7 +180,12 @@ def test_lfun_argument_errors(capsys):
         "contour_abscissa_past_kernel_range", "verify_negative_seeds",
     ],
 )
-def test_errors_are_one_line_with_status_2(capsys, argv, message):
+def test_errors_are_one_line_with_status_2(capsys, tmp_path, argv, message):
+    config = tmp_path / "cfg.json"
+    for arg in argv:
+        if isinstance(arg, dict):  # a dict stands for a config file holding it
+            config.write_text(json.dumps(arg))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -22,6 +22,7 @@ from smoothlab import (
     unsmoothing_ratio,
     unsmoothing_slopes,
 )
+from smoothlab import smooth_core
 from smoothlab.errors import ExportError, ThresholdExceededError
 from smoothlab.experiments import CSV_COLUMNS, export_plot_data, export_unsmoothing
 
@@ -114,12 +115,16 @@ _GRID = {"xs": [100.0], "ys": [5.0], "qs": [3]}
         (json.dumps({**_GRID, "order_threshold": True}), "qs and order_threshold must be integers"),
         (json.dumps({**_GRID, "xs": ["100"]}), "xs, ys and epsilons must hold numbers"),
         (json.dumps({**_GRID, "output_path": 2}), "output_path must be a path"),
+        (
+            json.dumps({**_GRID, "qs": [3, 1000000007]}),
+            "modulus 1000000007 exceeds the table bound 1000000",
+        ),
         ("{", "Expecting property name"),
     ],
     ids=[
         "missing_file", "xs_not_list", "epsilons_not_list", "top_level_list", "q_not_int",
         "order_threshold_str", "order_threshold_bool", "x_str", "output_path_int",
-        "malformed_json",
+        "q_above_table_bound", "malformed_json",
     ],
 )
 def test_bad_config_json_raises_value_error(tmp_path, text, message):
@@ -174,6 +179,22 @@ def test_unsmoothing_fixtures():
     assert unsmoothing_ratio(100.0, 5.0, 1, 0.1) == pytest.approx(2 / 34)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.5, 5.0, 1, 0.1), "threshold x must be finite and >= 1"),
+        ((math.nan, 5.0, 1, 0.1), "threshold x must be finite and >= 1"),
+        ((100.0, 1.5, 1, 0.1), "smoothness bound y must be finite and >= 2"),
+        ((100.0, 5.0, 0, 0.1), "modulus q must be >= 1"),
+        ((100.0, 5.0, 1, 1.5), "epsilon must lie in \\[0, 1\\]"),
+    ],
+    ids=["x_below_1", "x_nan", "y_below_2", "q_below_1", "epsilon_above_1"],
+)
+def test_unsmoothing_ratio_validates_its_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        unsmoothing_ratio(*args)
+
+
 def test_unsmoothing_below_one_loses_everything():
     assert unsmoothing_ratio(100.0, 5.0, 1, 0.995) == 1.0
     cfg = ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(3,), epsilons=(0.0, 0.995))
@@ -192,11 +213,16 @@ def test_unsmoothing_matches_brute_force():
         assert ratio == (total - kept) / total
 
 
+def _no_enumeration(*args):
+    raise AssertionError("enumeration started")
+
+
 @pytest.mark.parametrize("run", [run_equidistribution, run_coset, run_unsmoothing])
 def test_every_mode_honours_the_ceiling(run, monkeypatch):
-    monkeypatch.setenv("SMOOTHLAB_CEILING", "50")
-    with pytest.raises(ThresholdExceededError):
-        run(ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(3,)))
+    # the refusal comes before smooth_values reads a single prime
+    monkeypatch.setattr(smooth_core, "primes_upto", _no_enumeration)
+    with pytest.raises(ThresholdExceededError, match="exceeds the enumeration ceiling"):
+        run(ExperimentConfig(xs=(2e8,), ys=(5.0,), qs=(3,)))
 
 
 def test_unsmoothing_run_and_slopes():

@@ -86,3 +86,15 @@ def test_no_dead_definitions():
         and everywhere[name] <= _references(node)[name]
     ]
     assert not dead, "definitions referenced nowhere else:\n" + "\n".join(dead)
+
+
+def test_package_reads_no_environment():
+    # the package takes every setting as an argument: no module reads
+    # os.environ or calls getenv, under any spelling of the import
+    reads = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src" / "smoothlab").glob("*.py"))
+        for name in ("environ", "getenv")
+        if _references(ast.parse(path.read_text(encoding="utf-8")))[name]
+    ]
+    assert not reads, "environment reads:\n" + "\n".join(reads)

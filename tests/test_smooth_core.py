@@ -28,7 +28,7 @@ from smoothlab.errors import (
 )
 from smoothlab import primes, smooth_core
 from smoothlab.primes import MAX_SIEVE, primes_upto
-from smoothlab.smooth_core import _class_weights, enumeration_ceiling
+from smoothlab.smooth_core import MAX_ENUMERATION, _class_weights
 
 KERNEL = SmoothingKernel()
 
@@ -97,27 +97,37 @@ def test_query_validation():
         SmoothCountQuery(x=None, y=5.0)
 
 
+def _no_enumeration(*args):
+    raise AssertionError("enumeration started")
+
+
 def test_enumeration_ceiling_enforced(monkeypatch):
+    # the refusal comes before smooth_values reads a single prime
+    monkeypatch.setattr(smooth_core, "primes_upto", _no_enumeration)
+    with pytest.raises(ThresholdExceededError, match="exceeds the enumeration ceiling 1e\\+08"):
+        count_smooth(SmoothCountQuery(x=2e8, y=5.0))
+
+
+def test_smooth_values_refuses_a_limit_above_the_ceiling():
+    with pytest.raises(ThresholdExceededError):
+        smooth_values(1e8 + 1, 2)
+    # the ceiling itself is admitted: 2^0, ..., 2^26
+    assert smooth_values(MAX_ENUMERATION, 2).size == 27
+
+
+def test_ceiling_environment_variable_is_ignored(monkeypatch):
+    # SMOOTHLAB_CEILING once lowered the ceiling; it is no longer read
     monkeypatch.setenv("SMOOTHLAB_CEILING", "5")
-    with pytest.raises(ThresholdExceededError):
-        count_smooth(SmoothCountQuery(x=10.0, y=5.0))
+    assert count_smooth(SmoothCountQuery(x=10.0, y=5.0)).value == 9
 
 
-def test_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv("SMOOTHLAB_CEILING", "50")
-    with pytest.raises(ThresholdExceededError):
-        count_smooth(SmoothCountQuery(x=100.0, y=5.0))
-
-
-def test_weighted_ceiling_bounds_the_enumeration_limit(monkeypatch):
-    # the weighted count enumerates up to KERNEL.hi * x = 200, the plain one to x
-    query = SmoothCountQuery(x=100.0, y=5.0)
-    monkeypatch.setenv("SMOOTHLAB_CEILING", "150")
-    assert count_smooth(query).value == 34
+def test_weighted_ceiling_bounds_the_enumeration_limit():
+    # the weighted count enumerates up to KERNEL.hi * x = 1.2e8, the plain one to x
+    query = SmoothCountQuery(x=6e7, y=2.0)
+    assert count_smooth(query).value == 26
     with pytest.raises(ThresholdExceededError):
         count_smooth_weighted(query, KERNEL)
-    monkeypatch.setenv("SMOOTHLAB_CEILING", "200")
-    assert count_smooth_weighted(query, KERNEL).exact
+    assert count_smooth_weighted(SmoothCountQuery(x=5e7, y=2.0), KERNEL).exact
 
 
 # -- weighted counts -----------------------------------------------------------
@@ -193,21 +203,19 @@ def test_cached_class_weights_match_brute_force(x, y, q):
         assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
 
 
-def test_cached_class_weights_respect_a_lowered_ceiling(monkeypatch):
-    query = SmoothCountQuery(x=100.0, y=5.0, q=3, a=1)
+def test_weighted_query_above_the_ceiling_refused_on_every_call():
+    # a refusal is never cached as class weights: the second call is refused too
+    query = SmoothCountQuery(x=6e7, y=2.0, q=3, a=1)
     chi = character_group(3)[1]
-    count_smooth_weighted(query, KERNEL)  # fills the cache
-    monkeypatch.setenv("SMOOTHLAB_CEILING", "150")
-    with pytest.raises(ThresholdExceededError):
-        count_smooth_weighted(query, KERNEL)
-    with pytest.raises(ThresholdExceededError):
-        count_smooth_weighted(SmoothCountQuery(x=100.0, y=5.0, q=3), KERNEL, chi=chi)
-    monkeypatch.delenv("SMOOTHLAB_CEILING")
-    assert count_smooth_weighted(query, KERNEL).exact
+    for _ in range(2):
+        with pytest.raises(ThresholdExceededError):
+            count_smooth_weighted(query, KERNEL)
+        with pytest.raises(ThresholdExceededError):
+            count_smooth_weighted(SmoothCountQuery(x=6e7, y=2.0, q=3), KERNEL, chi=chi)
 
 
 def test_class_weights_are_read_only_and_sparse():
-    residues, sums = _class_weights(50.0, 7.0, 4, KERNEL, enumeration_ceiling())
+    residues, sums = _class_weights(50.0, 7.0, 4, KERNEL)
     assert residues.tolist() == [1, 3] and sums.shape == (2,)
     for arr in (residues, sums):
         assert not arr.flags.writeable
@@ -228,7 +236,7 @@ def test_class_weights_cost_nothing_in_the_modulus(q):
         assert (got != 0.0) == (a in ns)
     got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q), KERNEL).value
     assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
-    residues, _ = _class_weights(x, y, q, KERNEL, enumeration_ceiling())
+    residues, _ = _class_weights(x, y, q, KERNEL)
     assert residues.size == len(ns)
 
 
@@ -306,6 +314,31 @@ def test_bigx_long_walk_refused_before_it_starts(y):
     with pytest.raises(ThresholdExceededError, match="lattice walk of about .* leaves"):
         count_smooth_bigx((2, 1443), y)
     assert time.perf_counter() - start < 1.0
+
+
+def test_bigx_walk_refused_once_its_leaves_pass_the_cap(monkeypatch):
+    # Ennola's main term is only a lower bound on the leaves: over the
+    # walked primes 3..47 it reads 226 for (2, 35), whose walk has 637,120
+    monkeypatch.setattr(smooth_core, "MAX_LATTICE_LEAVES", 1e4)
+    assert smooth_core._simplex_count(35 * math.log(2), primes_upto(47)[1:]) < 1e4
+    start = time.perf_counter()
+    with pytest.raises(ThresholdExceededError, match="lattice walk passed the bound of 10000"):
+        count_smooth_bigx((2, 35), 47.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bigx_leaf_cap_admits_a_walk_of_exactly_cap_leaves(monkeypatch):
+    # (10, 12) at y = 10 walks the exponents of 3, 5 and 7: one leaf per
+    # {3, 5, 7}-smooth n <= 10^12
+    leaves = sum(
+        1 for a in range(26) for b in range(18) for c in range(15) if 3**a * 5**b * 7**c <= 10**12
+    )
+    assert leaves == 1299
+    monkeypatch.setattr(smooth_core, "MAX_LATTICE_LEAVES", leaves)
+    assert count_smooth_bigx((10, 12), 10.0).value == 14672
+    monkeypatch.setattr(smooth_core, "MAX_LATTICE_LEAVES", leaves - 1)
+    with pytest.raises(ThresholdExceededError, match="lattice walk passed"):
+        count_smooth_bigx((10, 12), 10.0)
 
 
 @pytest.mark.parametrize(
