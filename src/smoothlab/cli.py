@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .contour import DEFAULT_ORDER, ContourSpec, contour_psi
+from .contour import ContourSpec, contour_psi
 from .dirichlet import character_group
 from .errors import SmoothLabError
 from .experiments import (
@@ -108,7 +108,7 @@ def _cmd_contour(args: argparse.Namespace) -> int:
     if not (0 <= args.chi < len(chars)):
         raise ValueError(f"contour: chi index out of range [0, {len(chars)})")
     kernel = SmoothingKernel(args.kernel_lo, args.kernel_hi)
-    spec = ContourSpec(T=args.T, c=args.c, panel_width=args.panel_width, order=args.order)
+    spec = ContourSpec(T=args.T, c=args.c)
     res = contour_psi(args.x, chars[args.chi], args.y, kernel, spec)
     print(
         _dump(
@@ -205,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--panel-width", type=float, default=None)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--kernel-lo", type=float, default=SmoothingKernel.lo)
     p.add_argument("--kernel-hi", type=float, default=SmoothingKernel.hi)
     p.set_defaults(func=_cmd_contour)

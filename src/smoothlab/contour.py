@@ -40,46 +40,37 @@ from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, count_smooth_weighted
 
 DEFAULT_ORDER = 16
-# Largest quadrature order a spec accepts: eight times the default and four
-# times the order-32 reference rule, far below orders whose Gauss-Legendre
-# tables would exhaust memory (leggauss builds an order x order matrix).
-MAX_ORDER = 128
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Abscissa, truncation height (at least 1), panel width and quadrature
-    order (2 to MAX_ORDER).
+    """Truncation height T (at least 1) and abscissa c.
 
-    c defaults to the saddle abscissa alpha(x, y); panel_width defaults to
-    min(1, 2pi/log x) so each panel sees at most one oscillation period.
+    c defaults to the saddle abscissa alpha(x, y).  The rule is fixed: order
+    DEFAULT_ORDER, with the half-order rule on the same panels for the error
+    estimate, on panels of width min(1, 2pi/log x), so each panel sees at
+    most one oscillation period.
     """
 
     T: float
     c: float | None = None
-    panel_width: float | None = None
-    order: int = DEFAULT_ORDER
 
     def __post_init__(self) -> None:
         if not 1 <= self.T < math.inf:
             raise ValueError("truncation height T must be finite and >= 1")
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("abscissa must be finite and positive")
-        if self.panel_width is not None and not 0 < self.panel_width < math.inf:
-            raise ValueError("panel width must be finite and positive")
-        if not 2 <= self.order <= MAX_ORDER:
-            raise ValueError(f"quadrature order must lie in [2, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
 class ContourResult:
     """The truncated integral, a proved bound on the dropped tail, and an error estimate.
 
-    quadrature_error_estimate is |rule(order) - rule(order // 2)| on the same
-    panels, so it measures the coarse rule and overstates the error of value,
-    which the full-order rule gives.  For one character mod 7 at x = 1e5,
-    y = 1e4 and T = 40 or 160 it reads 4.3e-6, while the order-16 value is
-    within 6.4e-11 of the order-32 one.
+    quadrature_error_estimate is |rule(16) - rule(8)| on the same panels, so
+    it measures the coarse rule and overstates the error of value, which the
+    order-16 rule gives.  For one character mod 7 at x = 1e5, y = 1e4 and
+    T = 40 or 160 it reads 4.3e-6, while the order-16 value is within 6.4e-11
+    of the order-32 one.
     """
 
     value: complex
@@ -107,10 +98,10 @@ def _cell(
     chi0_value = euler_product(c, principal_character(q), y).value.real
     tail_bound = truncation_bound(c, spec.T, chi0_value, x, kernel)
     scale = _x_power(x, c, kernel) / (2 * math.pi)
-    n_panels = _resolve_panels(x, spec.T, spec)
+    n_panels = math.ceil(2 * spec.T / _widest_panel(x))
     # Both rules use the same panels, so one grid of Mellin values and one of
     # Euler products serve them; the rules' offsets sit side by side.
-    orders = (spec.order, max(2, spec.order // 2))
+    orders = (DEFAULT_ORDER, DEFAULT_ORDER // 2)
     _, mid, offsets, weights = panel_grid(-spec.T, spec.T, n_panels, orders)
     mid = mid[n_panels // 2 :]
     mell = kernel.mellin_many(c, mid, offsets)
@@ -122,19 +113,9 @@ def _cell(
     return c, mid, offsets, phase, tail_bound, {}
 
 
-def _max_panel_width(x: float) -> float:
+def _widest_panel(x: float) -> float:
     """min(1, 2pi/log x): the widest panel that sees at most one period of x^(it)."""
     return min(1.0, 2 * math.pi / math.log(x)) if x > 1 else 1.0
-
-
-def _resolve_panels(x: float, T: float, spec: ContourSpec) -> int:
-    max_width = _max_panel_width(x)
-    width = spec.panel_width if spec.panel_width is not None else max_width
-    if width > max_width * (1 + 1e-12):
-        raise ValueError(
-            f"panel width {width:g} too coarse to resolve x^(it); need <= {max_width:g}"
-        )
-    return max(1, int(math.ceil(2 * T / width)))
 
 
 def _x_power(x: float, c: float, kernel: SmoothingKernel) -> float:
@@ -165,7 +146,7 @@ def contour_psi(
     Needs 1 <= x < inf, 2 <= y < inf and x^c hi^c inside the float range (a
     ValueError names c and x otherwise).  The tail beyond height T is bounded
     by truncation_bound.  The quadrature error is estimated by comparing the
-    order-spec.order rule with the half-order rule on the same panels; that
+    order-16 rule with the order-8 rule on the same panels; that
     difference is the coarse rule's error, so it overstates the error of the
     returned value (see ContourResult).  Both rules read one (panel, offset)
     grid on [0, T], and each rule's value is A(chi) + conj A(conj chi), with
@@ -187,7 +168,7 @@ def contour_psi(
         if char.exponents not in half_sums:
             terms = phase * euler_product_many(c, mid, char, y, offsets)
             half_sums[char.exponents] = [
-                complex(np.sum(rule)) for rule in np.split(terms, [spec.order], axis=1)
+                complex(np.sum(rule)) for rule in np.split(terms, [DEFAULT_ORDER], axis=1)
             ]
         sums.append(half_sums[char.exponents])
     fine, coarse = (own + mirror.conjugate() for own, mirror in zip(*sums))
@@ -238,7 +219,7 @@ def oscillating_integral(
     if t0 == t1:
         return OscillationResult(0j, 0.0)
     if n_panels is None:
-        n_panels = max(4, int(math.ceil((t1 - t0) / _max_panel_width(x))))
+        n_panels = max(4, int(math.ceil((t1 - t0) / _widest_panel(x))))
     _, mid, offsets, weights = panel_grid(t0, t1, n_panels, (DEFAULT_ORDER,))
     nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
     mell = kernel.mellin_many(beta, nodes, (0.0,))[:, 0]

@@ -35,11 +35,14 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
 
     The bracket (1e-6, 2] always contains the root for float-representable
     x >= y >= 2; the recorded residual is |sum - log x| at the returned point.
+    A modulus q, when given, must be >= 1.
     """
     if not 2 <= y < math.inf:
         raise ValueError("need finite y >= 2")
     if not y <= x < math.inf:
         raise ValueError("need finite x >= y")
+    if q is not None and q < 1:
+        raise ValueError("modulus q must be >= 1")
     plist = [p for p in primes_upto(y) if q is None or q % p != 0]
     if not plist:
         raise NoConvergenceError(

@@ -59,6 +59,8 @@ class SmoothCountQuery:
             raise ValueError("smoothness bound y must be finite and >= 2")
         if self.q < 1:
             raise ValueError("modulus q must be >= 1")
+        if self.q > np.iinfo(np.int64).max:
+            raise ValueError(f"modulus q={self.q} exceeds the int64 bound 2^63 - 1")
         if self.x is None or not 1 <= self.x < math.inf:
             raise ValueError("threshold x must be finite and >= 1")
         if self.a is not None:
@@ -93,9 +95,11 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     """All y-smooth n <= limit built from primes not dividing q, including 1,
     as an int64 array in generation order.
 
-    A limit above MAX_ENUMERATION raises ThresholdExceededError before
-    anything is built.
+    A NaN limit raises ValueError, and one above MAX_ENUMERATION
+    ThresholdExceededError, before anything is built.
     """
+    if math.isnan(limit):
+        raise ValueError("enumeration limit must not be NaN")
     if limit > MAX_ENUMERATION:
         raise ThresholdExceededError(
             f"enumeration limit {limit:g} exceeds the enumeration ceiling {MAX_ENUMERATION:g}"

@@ -19,8 +19,7 @@ from smoothlab import (
     truncation_bound,
 )
 from smoothlab import contour
-from smoothlab.cli import main
-from smoothlab.contour import MAX_ORDER, _cell
+from smoothlab.contour import _cell
 from smoothlab.kernel import MAX_PANELS, _pochhammer_coeffs, panel_grid
 from smoothlab.lseries import euler_product, euler_product_many
 from smoothlab.primes import primes_upto
@@ -41,7 +40,6 @@ def _direct(x, chi, y):
         lambda v: SmoothCountQuery(x=100.0, y=v),
         lambda v: ContourSpec(T=v),
         lambda v: ContourSpec(T=10.0, c=v),
-        lambda v: ContourSpec(T=10.0, panel_width=v),
         lambda v: saddle_alpha(v, 10.0),
         lambda v: saddle_alpha(100.0, v),
         lambda v: contour_psi(v, principal_character(1), 10.0, KERNEL, ContourSpec(T=10.0, c=0.5)),
@@ -51,7 +49,7 @@ def _direct(x, chi, y):
         lambda v: truncation_bound(0.7, v, 1.0, 1e4, KERNEL),
     ],
     ids=[
-        "query_x", "query_y", "spec_T", "spec_c", "spec_panel_width", "saddle_x", "saddle_y",
+        "query_x", "query_y", "spec_T", "spec_c", "saddle_x", "saddle_y",
         "contour_x", "contour_y", "oscillating_x", "oscillating_t1", "truncation_T",
     ],
 )
@@ -74,9 +72,14 @@ def test_contour_range_checked_with_explicit_abscissa(x, y, message):
         contour_psi(x, principal_character(1), y, KERNEL, ContourSpec(T=10.0, c=0.5))
 
 
-def _node_by_node(x, chi, y, c, T, order):
-    """The contour sum of one rule, with the Euler product formed at each node."""
-    n_panels = math.ceil(2 * T / min(1.0, 2 * math.pi / math.log(x)))
+def _panel_count(x, T):
+    """The panels of [-T, T] that contour_psi uses: each at most min(1, 2pi/log x) wide."""
+    return math.ceil(2 * T / min(1.0, 2 * math.pi / math.log(x)))
+
+
+def _node_by_node(x, chi, y, c, T, order, n_panels):
+    """The contour sum of one rule on n_panels panels of [-T, T], with the
+    Euler product formed at each node."""
     _, mid, offsets, weights = panel_grid(-T, T, n_panels, (order,))
     nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
     ps = np.array([p for p in primes_upto(y) if chi(p) != 0], dtype=float)
@@ -91,14 +94,14 @@ def _node_by_node(x, chi, y, c, T, order):
 def test_matches_node_by_node_products(x, y, q):
     # the half grid keeps the middle panel of an odd count at half weight:
     # the cases cover an odd count (x = 1e5: 587 panels) and an even one (x = 1e3: 352)
-    n_panels = math.ceil(2 * 160.0 / min(1.0, 2 * math.pi / math.log(x)))
+    n_panels = _panel_count(x, 160.0)
     assert n_panels == {1e3: 352, 1e4: 470, 1e5: 587}[x]
     assert len(_cell(KERNEL, x, y, q, ContourSpec(T=160.0))[1]) == (n_panels + 1) // 2
     c = saddle_alpha(x, y).alpha
     for chi in character_group(q):
         got = contour_psi(x, chi, y, KERNEL, ContourSpec(T=160.0))
-        fine = _node_by_node(x, chi, y, c, 160.0, 16)
-        coarse = _node_by_node(x, chi, y, c, 160.0, 8)
+        fine = _node_by_node(x, chi, y, c, 160.0, 16, n_panels)
+        coarse = _node_by_node(x, chi, y, c, 160.0, 8, n_panels)
         tol = 1e-12 * max(1.0, abs(fine))
         assert abs(got.value - fine) <= tol
         assert abs(got.quadrature_error_estimate - abs(fine - coarse)) <= tol
@@ -110,30 +113,13 @@ def test_truncation_height_below_one_rejected():
         ContourSpec(T=0.9)
 
 
-def test_order_above_cap_rejected_before_any_table(monkeypatch, capsys):
-    assert ContourSpec(T=10.0, order=MAX_ORDER).order == MAX_ORDER
-    with pytest.raises(ValueError, match=f"quadrature order must lie in \\[2, {MAX_ORDER}\\]"):
-        ContourSpec(T=10.0, order=MAX_ORDER + 1)
-
-    def refuse(order):
-        raise AssertionError(f"Gauss-Legendre table of order {order} requested")
-
-    monkeypatch.setattr("smoothlab.kernel.leggauss", refuse)
-    argv = ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "10"]
-    assert main(argv + ["--order", "100000"]) == 2
-    assert "quadrature order must lie in [2, 128]" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda: contour_psi(1e5, character_group(5)[1], 10.0, KERNEL, ContourSpec(T=1e12)),
-        lambda: contour_psi(
-            1e5, character_group(5)[1], 10.0, KERNEL, ContourSpec(T=10.0, panel_width=1e-9)
-        ),
         lambda: oscillating_integral(0.0, 1e12, 1e5, 1.0, KERNEL),
     ],
-    ids=["contour_height", "contour_panel_width", "oscillating_integral"],
+    ids=["contour_height", "oscillating_integral"],
 )
 def test_panel_count_rejected_before_any_array(call):
     tracemalloc.start()
@@ -271,17 +257,10 @@ def test_degenerate_truncation_height():
 def test_refinement_changes_value_within_estimate():
     chi = character_group(4)[1]
     x, y = 200.0, 10.0
-    width = min(1.0, 2 * math.pi / math.log(x))
-    base = contour_psi(x, chi, y, KERNEL, ContourSpec(T=50.0, panel_width=width))
-    halved = contour_psi(x, chi, y, KERNEL, ContourSpec(T=50.0, panel_width=width / 2))
-    assert abs(halved.value - base.value) <= base.quadrature_error_estimate + 1e-13 * abs(
-        base.value
-    )
-
-
-def test_panel_width_invariant_enforced():
-    with pytest.raises(ValueError):
-        contour_psi(1e6, principal_character(1), 10.0, KERNEL, ContourSpec(T=10.0, panel_width=2.0))
+    base = contour_psi(x, chi, y, KERNEL, ContourSpec(T=50.0))
+    c = saddle_alpha(x, y).alpha
+    halved = _node_by_node(x, chi, y, c, 50.0, 16, 2 * _panel_count(x, 50.0))
+    assert abs(halved - base.value) <= base.quadrature_error_estimate + 1e-13 * abs(base.value)
 
 
 def test_truncation_bound_shape():

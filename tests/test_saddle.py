@@ -112,3 +112,13 @@ def test_preconditions():
         saddle_alpha(5.0, 10.0)
     with pytest.raises(NoConvergenceError):
         saddle_alpha(4.0, 2.0, q=2)  # no coprime primes below y
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_nonpositive_modulus_refused(q):
+    with pytest.raises(ValueError, match="modulus q must be >= 1"):
+        saddle_alpha(10.0, 10.0, q=q)
+
+
+def test_unit_modulus_drops_no_prime():
+    assert saddle_alpha(10.0, 10.0, q=1) == saddle_alpha(10.0, 10.0)

@@ -97,6 +97,16 @@ def test_query_validation():
         SmoothCountQuery(x=None, y=5.0)
 
 
+def test_modulus_beyond_int64_refused():
+    # vals % q and the class weights run in int64, so q = 2^63 - 1 is the largest
+    big = 2**63 - 1
+    assert count_smooth(SmoothCountQuery(x=100.0, y=5.0, q=big, a=1)).value == 1
+    assert count_smooth_weighted(SmoothCountQuery(x=100.0, y=5.0, q=big, a=1), KERNEL).exact
+    for q in (2**63, 10**20):
+        with pytest.raises(ValueError, match=f"modulus q={q} exceeds the int64 bound 2\\^63 - 1"):
+            SmoothCountQuery(x=100.0, y=5.0, q=q)
+
+
 def _no_enumeration(*args):
     raise AssertionError("enumeration started")
 
@@ -113,6 +123,16 @@ def test_smooth_values_refuses_a_limit_above_the_ceiling():
         smooth_values(1e8 + 1, 2)
     # the ceiling itself is admitted: 2^0, ..., 2^26
     assert smooth_values(MAX_ENUMERATION, 2).size == 27
+
+
+def test_smooth_values_refuses_a_nan_limit(monkeypatch):
+    # a finite limit below 1 holds no n; +inf is above the ceiling
+    assert smooth_values(0.5, 5).size == 0
+    monkeypatch.setattr(smooth_core, "primes_upto", _no_enumeration)
+    with pytest.raises(ValueError, match="enumeration limit must not be NaN"):
+        smooth_values(math.nan, 5)
+    with pytest.raises(ThresholdExceededError):
+        smooth_values(math.inf, 5)
 
 
 def test_ceiling_environment_variable_is_ignored(monkeypatch):
