@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the full seeded inequality corpus (10^3 per segment bound, 10^4 per
-closed-form check, dense calculus grid) and summarize headroom per suite."""
+closed-form check, dense calculus grid) and summarize headroom per suite.
+
+The summary goes to stdout, which is byte-identical across runs; each
+suite's wall time goes to stderr."""
 
 import argparse
 import sys
@@ -26,8 +29,9 @@ def main() -> int:
         ratio = f"{result.min_ratio:.6f}" if result.min_ratio is not None else "n/a"
         print(
             f"{suite:10s} instances={n:6d} violations={result.violations} "
-            f"degenerate={result.degenerate} min rhs/lhs={ratio} [{time.time() - t0:.1f}s]"
+            f"degenerate={result.degenerate} min rhs/lhs={ratio}"
         )
+        print(f"{suite} [{time.time() - t0:.1f}s]", file=sys.stderr)
 
     grid = calculus_grid()
     bad = sum(1 for rep in grid if not rep.holds)

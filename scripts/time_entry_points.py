@@ -5,8 +5,9 @@ Each entry runs once, as a child process of this script, in a fresh
 temporary directory that receives any file it writes, with this checkout's
 src/ first on PYTHONPATH.  For each entry the object records the argument
 list, the wall time from start to exit, the child's own peak resident set
-size (ru_maxrss from os.wait4, so earlier children do not count) and its exit
-status.  The CLI subcommands run at these fixed arguments, the scripts at
+size (ru_maxrss from os.wait4, so earlier children do not count), its exit
+status and the sha256 of its stdout, so two reports, from two checkouts or
+two runs of one, show by a diff which entries printed other bytes.  The CLI subcommands run at these fixed arguments, the scripts at
 their defaults:
 
     count                  count 100000 1000 --q 7 --a 3 --weighted --json
@@ -30,6 +31,7 @@ own 14 MB or so, so run the script in a process of its own.
 Usage: python3 scripts/time_entry_points.py > entry_points.json
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -56,20 +58,27 @@ SCRIPTS = ("run_equidistribution", "run_contour_check", "run_inequality_corpus")
 
 
 def _run(argv: list[str], env: dict[str, str]) -> dict:
-    """Run argv in a fresh temporary directory; its wall time, peak RSS and exit status."""
+    """Run argv in a fresh temporary directory; its wall time, peak RSS, exit
+    status and stdout digest."""
     with tempfile.TemporaryDirectory() as work:
         Path(work, "config.json").write_text(json.dumps(CONFIG))
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=work, env=env, stdout=subprocess.DEVNULL)
-        # wait4 reaps the child and returns that child's own rusage; the
-        # exit code is handed to proc so that it does not wait again
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
+        stdout = Path(work, "stdout.txt")
+        # a file, not a pipe: verify prints about 500 lines, which would fill
+        # a pipe that nobody reads and block the child before wait4 returns
+        with stdout.open("wb") as out:
+            start = time.perf_counter()
+            proc = subprocess.Popen(argv, cwd=work, env=env, stdout=out)
+            # wait4 reaps the child and returns that child's own rusage; the
+            # exit code is handed to proc so that it does not wait again
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
+        digest = hashlib.sha256(stdout.read_bytes()).hexdigest()
     return {
         "wall_s": round(wall, 4),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
         "exit": proc.returncode,
+        "stdout_sha256": digest,
     }
 
 

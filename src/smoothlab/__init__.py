@@ -9,7 +9,6 @@ and equidistribution experiment runners.
 from .contour import (
     ContourResult,
     ContourSpec,
-    OscillationResult,
     contour_psi,
     main_term_ratio,
     oscillating_integral,

@@ -191,24 +191,14 @@ def truncation_bound(
     return _x_power(x, c, kernel) * chi0_value * tail
 
 
-@dataclass(frozen=True)
-class OscillationResult:
-    value: complex
-    decay_product: float  # |value| * log x
-
-
 def oscillating_integral(
-    t0: float,
-    t1: float,
-    x: float,
-    beta: float,
-    kernel: SmoothingKernel,
-    n_panels: int | None = None,
-) -> OscillationResult:
-    """int_{t0}^{t1} x^(ir) mellin(beta + ir) dr with its decay report.
+    t0: float, t1: float, x: float, beta: float, kernel: SmoothingKernel
+) -> complex:
+    """int_{t0}^{t1} x^(ir) mellin(beta + ir) dr by the order-16 rule on
+    max(4, ceil((t1 - t0) / min(1, 2pi/log x))) panels, the contour's width.
 
-    The product |value| * log x stays bounded as x grows; it is returned for
-    measurement and never asserted here.
+    |value| * log x stays bounded as x grows; that is for measurement and
+    never asserted here.
     """
     if not (0 <= t0 <= t1 < math.inf):
         raise ValueError("need finite 0 <= t0 <= t1")
@@ -217,14 +207,12 @@ def oscillating_integral(
     if not 0 < x < math.inf:
         raise ValueError("need finite x > 0")
     if t0 == t1:
-        return OscillationResult(0j, 0.0)
-    if n_panels is None:
-        n_panels = max(4, int(math.ceil((t1 - t0) / _widest_panel(x))))
+        return 0j
+    n_panels = max(4, math.ceil((t1 - t0) / _widest_panel(x)))
     _, mid, offsets, weights = panel_grid(t0, t1, n_panels, (DEFAULT_ORDER,))
     nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
     mell = kernel.mellin_many(beta, nodes, (0.0,))[:, 0]
-    value = complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
-    return OscillationResult(value, abs(value) * math.log(x))
+    return complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
 
 
 def main_term_ratio(x: float, y: float, q: int, kernel: SmoothingKernel) -> float:

@@ -95,9 +95,11 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     """All y-smooth n <= limit built from primes not dividing q, including 1,
     as an int64 array in generation order.
 
-    A NaN limit raises ValueError, and one above MAX_ENUMERATION
-    ThresholdExceededError, before anything is built.
+    A modulus q below 1 or a NaN limit raises ValueError, and a limit above
+    MAX_ENUMERATION ThresholdExceededError, before anything is built.
     """
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")
     if math.isnan(limit):
         raise ValueError("enumeration limit must not be NaN")
     if limit > MAX_ENUMERATION:
@@ -189,12 +191,14 @@ def _class_weights(
 
 
 def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:
-    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent) and y."""
+    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent), y and q."""
     base, exponent = bigx
     if base < 2 or exponent < 1:
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
     if not 2 <= y < math.inf:
         raise ValueError("smoothness bound y must be finite and >= 2")
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")
     return [p for p in primes_upto(y) if q % p != 0]
 
 

@@ -33,6 +33,7 @@ from smoothlab import (
     unsmoothing_ratio,
     unsmoothing_slopes,
 )
+from smoothlab.kernel import panel_grid
 
 KERNEL = SmoothingKernel()
 
@@ -227,17 +228,26 @@ def test_criterion_8_unsmoothing():
     assert ok
 
 
+def _oscillating_on_twice_the_panels(x):
+    """oscillating_integral(0, 3, x, 1, KERNEL) by the same order-16 rule on
+    twice its panels."""
+    n_panels = 2 * max(4, math.ceil(3.0 / min(1.0, 2 * math.pi / math.log(x))))
+    _, mid, offsets, weights = panel_grid(0.0, 3.0, n_panels, (16,))
+    nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
+    mell = KERNEL.mellin_many(1.0, nodes, (0.0,))[:, 0]
+    return complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
+
+
 def test_criterion_9_oscillating_integral():
-    sups = []
-    for scale in (1, 2):
-        prods = []
-        for x in (1e3, 1e6, 1e9):
-            width = min(1.0, 2 * math.pi / math.log(x))
-            n = max(4, int(math.ceil(3.0 / width))) * scale
-            prods.append(
-                oscillating_integral(0.0, 3.0, x, 1.0, KERNEL, n_panels=n).decay_product
-            )
-        sups.append(max(prods))
+    # |value| * log x, the decay Harper's argument bounds, under the function's
+    # own rule and under the same rule on twice the panels
+    sups = [
+        max(abs(integral(x)) * math.log(x) for x in (1e3, 1e6, 1e9))
+        for integral in (
+            lambda x: oscillating_integral(0.0, 3.0, x, 1.0, KERNEL),
+            _oscillating_on_twice_the_panels,
+        )
+    ]
     ok = max(sups) / min(sups) < 2.0
     _verdict(
         9,

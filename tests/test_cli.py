@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
+from smoothlab import (
+    ExperimentConfig,
+    export_results,
+    export_unsmoothing,
+    run_coset,
+    run_unsmoothing,
+    unsmoothing_slopes,
+)
 from smoothlab.cli import main
+from smoothlab.inequalities import SUITES
 
 
 def _run_argv(capsys, argv):
@@ -242,6 +251,62 @@ def test_experiment_with_config(tmp_path, capsys):
     )
     assert code == 0 and "records=2" in out
     assert out_csv.exists() and plot_path.exists()
+
+
+def _small_config(tmp_path, **extra):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = {"xs": [100.0, 500.0], "ys": [5.0, 10.0], "qs": [3, 4], **extra}
+    cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def test_experiment_coset_mode(tmp_path, capsys):
+    out_csv = tmp_path / "coset.csv"
+    cfg_path = _small_config(tmp_path, output_path=str(out_csv))
+    code, out = _run_argv(capsys, ["experiment", "--config", str(cfg_path), "--mode", "coset"])
+    assert code == 0
+    records = run_coset(ExperimentConfig.from_json(cfg_path))
+    assert out.splitlines() == [
+        '{"power": 2, "subgroup_surrogate": true}',
+        f"records={len(records)}",
+    ]
+    want_csv = tmp_path / "want.csv"
+    export_results(records, "csv", want_csv)
+    assert out_csv.read_bytes() == want_csv.read_bytes()
+
+
+def test_experiment_unsmoothing_mode(tmp_path, capsys):
+    out_csv = tmp_path / "unsmoothing.csv"
+    cfg_path = _small_config(tmp_path, output_path=str(out_csv))
+    code, out = _run_argv(
+        capsys, ["experiment", "--config", str(cfg_path), "--mode", "unsmoothing"]
+    )
+    assert code == 0
+    records = run_unsmoothing(ExperimentConfig.from_json(cfg_path))
+    slopes = unsmoothing_slopes(records)
+    assert len(slopes) == 8  # one line per (x, y, q) grid point
+    assert out.splitlines() == [
+        f"x={x:g} y={y:g} q={q} slope={slope:.12g}" for (x, y, q), slope in sorted(slopes.items())
+    ]
+    want_csv = tmp_path / "want.csv"
+    export_unsmoothing(records, want_csv)
+    assert out_csv.read_bytes() == want_csv.read_bytes()
+
+
+def test_verify_calculus_suite(capsys):
+    code, out = _run_argv(capsys, ["verify", "--suite", "calculus", "--seeds", "3"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 4  # 3 reports + summary
+    assert json.loads(lines[-1])["suite"] == "calculus"
+
+
+def test_verify_all_prints_each_summary_in_suite_order(capsys):
+    code, out = _run_argv(capsys, ["verify", "--suite", "all", "--seeds", "1"])
+    assert code == 0
+    payloads = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(payloads) == 2 * len(SUITES)  # one report and one summary per suite
+    assert [p["suite"] for p in payloads if "suite" in p] == list(SUITES)
 
 
 def _subprocess_out(argv):

@@ -1,5 +1,6 @@
 """The scripts run end to end at small sizes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -26,17 +27,29 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("script", list(CASES))
-def test_script_runs(script, tmp_path):
-    args, header = CASES[script]
+def _run_script(script, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *CASES[script][0]],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", list(CASES))
+def test_script_runs(script, tmp_path):
+    proc = _run_script(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
+    header = CASES[script][1]
     assert any(line.startswith(header) for line in proc.stdout.splitlines()), proc.stdout
+
+
+def test_contour_check_stdout_is_byte_identical(tmp_path):
+    # the wall time goes to stderr, so stdout depends on the arguments alone
+    first, second = (_run_script("run_contour_check.py", tmp_path) for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert first.stderr.startswith("total ")
 
 
 def test_entry_point_timer_reads_each_child_apart():
@@ -49,7 +62,7 @@ spec = importlib.util.spec_from_file_location("timer", sys.argv[1])
 timer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(timer)
 big = timer._run([sys.executable, "-c", "x = bytearray(96 << 20)"], dict(os.environ))
-small = timer._run([sys.executable, "-c", "raise SystemExit(3)"], dict(os.environ))
+small = timer._run([sys.executable, "-c", "print('smooth'); raise SystemExit(3)"], dict(os.environ))
 print(json.dumps([big, small]))
 """
     path = ROOT / "scripts" / "time_entry_points.py"
@@ -61,3 +74,6 @@ print(json.dumps([big, small]))
     # the second child's peak is its own, not the larger one of the first
     assert small["exit"] == 3 and small["peak_rss_mb"] < 96
     assert big["wall_s"] > 0 and small["wall_s"] > 0
+    # each digest is of that child's stdout alone
+    assert big["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
+    assert small["stdout_sha256"] == hashlib.sha256(b"smooth\n").hexdigest()

@@ -118,6 +118,24 @@ def test_enumeration_ceiling_enforced(monkeypatch):
         count_smooth(SmoothCountQuery(x=2e8, y=5.0))
 
 
+@pytest.mark.parametrize("q", [0, -3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: smooth_values(10, 5, q=q),
+        lambda q: count_smooth_bigx((2, 10), 3.0, q=q),
+        lambda q: ennola_estimate((2, 300), 5.0, q=q),
+    ],
+    ids=["smooth_values", "count_smooth_bigx", "ennola_estimate"],
+)
+def test_modulus_below_one_refused(monkeypatch, call, q):
+    # q = 0 once gave [1], a count of 1 and an empty prime set, and q = -3
+    # acted as q = 3; the refusal comes before a single prime is read
+    monkeypatch.setattr(smooth_core, "primes_upto", _no_enumeration)
+    with pytest.raises(ValueError, match="modulus q must be >= 1"):
+        call(q)
+
+
 def test_smooth_values_refuses_a_limit_above_the_ceiling():
     with pytest.raises(ThresholdExceededError):
         smooth_values(1e8 + 1, 2)
