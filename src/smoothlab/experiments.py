@@ -25,6 +25,10 @@ from .errors import ExportError
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, smooth_values
 
+# Coset mode's subgroup H is the squares in (Z/qZ)*.
+COSET_POWER = 2
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grids and constants for one experiment run."""
@@ -33,7 +37,6 @@ class ExperimentConfig:
     ys: tuple[float, ...]
     qs: tuple[int, ...]
     epsilons: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0)
-    order_threshold: int = 2
     output_path: str | None = None
     output_format: str = "csv"
 
@@ -42,9 +45,8 @@ class ExperimentConfig:
             raise ValueError("xs, ys, qs must be nonempty")
         if not all(isinstance(v, numbers.Real) for v in (*self.xs, *self.ys, *self.epsilons)):
             raise ValueError("xs, ys and epsilons must hold numbers")
-        ints = (*self.qs, self.order_threshold)
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in ints):
-            raise ValueError("qs and order_threshold must be integers")
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in self.qs):
+            raise ValueError("qs must be integers")
         if min(self.qs) < 2:
             raise ValueError("every modulus must be >= 2")
         if max(self.qs) > MAX_MODULUS:
@@ -151,17 +153,19 @@ def max_discrepancy(records: list[ResultRecord]) -> dict[tuple[float, float, int
 
 def power_subgroup(q: int, exponent: int) -> list[int]:
     """The subgroup of exponent-th powers in (Z/qZ)*, a surrogate coset structure."""
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")
     units = [a for a in range(q) if gcd(a, q) == 1]
     return sorted({pow(a, exponent, q) for a in units})
 
 
 def run_coset(config: ExperimentConfig) -> list[ResultRecord]:
     """Pairwise class-count differences within cosets of H, the subgroup of
-    order_threshold-th powers, normalized by the equidistributed share.
+    COSET_POWER-th powers, normalized by the equidistributed share.
 
     count holds the signed difference and the a-field a "repH:a/b" pair label.
     """
-    subgroups = {q: power_subgroup(q, config.order_threshold) for q in config.qs}
+    subgroups = {q: power_subgroup(q, COSET_POWER) for q in config.qs}
     records = []
     for q, counts, total, units, record in _class_grid(config):
         phi = len(units)

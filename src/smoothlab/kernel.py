@@ -86,10 +86,7 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
 
 
 def _smoothstep_exact(u: Fraction) -> Fraction:
-    if u <= 0:
-        return Fraction(0)
-    if u >= 1:
-        return Fraction(1)
+    """S(u) for u in (0, 1), in exact rational arithmetic."""
     acc = Fraction(0)
     for c in reversed(_STEP_COEFFS):
         acc = acc * u + c
@@ -145,8 +142,8 @@ class SmoothingKernel:
     hi: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.lo < self.hi):
-            raise ValueError(f"need 0 < lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not (0 < self.lo < self.hi < math.inf):
+            raise ValueError(f"need 0 < lo < hi < inf, got lo={self.lo}, hi={self.hi}")
 
     # -- direct evaluation -------------------------------------------------
 

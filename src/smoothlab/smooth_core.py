@@ -72,10 +72,9 @@ class SmoothCountQuery:
 
 @dataclass(frozen=True)
 class SmoothCount:
-    """A count (or weighted count) together with an exactness flag."""
+    """A count, class count or kernel-weighted count."""
 
     value: int | float | complex
-    exact: bool
 
 
 def is_smooth(n: int, y: float) -> bool:
@@ -127,8 +126,8 @@ def count_smooth(query: SmoothCountQuery) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
     vals = smooth_values(query.x, query.y, query.q)
     if query.a is None:
-        return SmoothCount(vals.size, exact=True)
-    return SmoothCount(int(np.count_nonzero(vals % query.q == query.a)), exact=True)
+        return SmoothCount(vals.size)
+    return SmoothCount(int(np.count_nonzero(vals % query.q == query.a)))
 
 
 def count_smooth_weighted(
@@ -156,12 +155,12 @@ def count_smooth_weighted(
             raise ValueError("give either a character or a residue class, not both")
     residues, sums = _class_weights(query.x, query.y, query.q, kernel)
     if chi is not None:
-        return SmoothCount(complex(chi.value_table()[residues] @ sums), exact=True)
+        return SmoothCount(complex(chi.values(residues) @ sums))
     if query.a is not None:
         i = int(np.searchsorted(residues, query.a))
         hit = i < residues.size and residues[i] == query.a
-        return SmoothCount(float(sums[i]) if hit else 0.0, exact=True)
-    return SmoothCount(float(np.sum(sums)), exact=True)
+        return SmoothCount(float(sums[i]) if hit else 0.0)
+    return SmoothCount(float(np.sum(sums)))
 
 
 @lru_cache(maxsize=8)
@@ -237,7 +236,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
             f"{len(plist)} primes <= {y} exceed the lattice bound {MAX_LATTICE_PRIMES}"
         )
     if not plist:
-        return SmoothCount(1, exact=True)  # only n = 1
+        return SmoothCount(1)  # only n = 1
 
     try:
         budget = exponent * math.log(base)
@@ -275,8 +274,6 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
             if abs(r - m) * log0 >= LOG_GUARD:
                 e_max = math.floor(r)
                 return e_max + 1 if e_max >= 0 else 0
-            if m < 0:
-                return 0
             # base**exponent is built only here, on a tie
             n = p0**m * math.prod(p**e for (p, _), e in zip(rest, path))
             return m + 1 if n <= base**exponent else m
@@ -290,7 +287,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
             s = spent + e * lp
         return total
 
-    return SmoothCount(visit(0, 0.0), exact=True)
+    return SmoothCount(visit(0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,6 @@ class EnnolaEstimate:
 
     main_term: float
     error_factor: float
-    log_x: float
     prime_count: int
 
 
@@ -318,7 +314,7 @@ def ennola_estimate(bigx: tuple[int, int], y: float, q: int = 1) -> EnnolaEstima
             stacklevel=2,
         )
     error = y * y / (log_x * math.log(y))
-    return EnnolaEstimate(_simplex_count(log_x, plist), error, log_x, len(plist))
+    return EnnolaEstimate(_simplex_count(log_x, plist), error, len(plist))
 
 
 def _simplex_count(log_x: float, plist: list[int]) -> float:

@@ -1,8 +1,10 @@
 """Command-line surface: every subcommand runs and output is deterministic."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,17 +20,40 @@ from smoothlab.cli import main
 from smoothlab.inequalities import SUITES
 
 
+def _readme_cli() -> tuple[list[list[str]], str]:
+    """The argument lists of the smoothlab lines in README's CLI block, and
+    README's example config."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    config = text.split("```json\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("smoothlab ")]
+    return [shlex.split(line)[1:] for line in lines], config
+
+
+README_EXAMPLES, README_CONFIG = _readme_cli()
+
+
 def _run_argv(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
 
 
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv):
+    # the config example is saved as cfg.json, the name the experiment line reads
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(README_CONFIG, encoding="utf-8")
+    code, out = _run_argv(capsys, argv)
+    assert code == 0 and out
+
+
 def test_count_plain_and_json(capsys):
     code, out = _run_argv(capsys, ["count", "100", "5", "--q", "3", "--a", "1"])
     assert code == 0 and "= 8" in out
     code, out = _run_argv(capsys, ["count", "100", "5", "--json"])
-    assert code == 0 and json.loads(out)["value"] == 34
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == 34 and payload["exact"] is True
 
 
 def test_count_weighted(capsys):
@@ -55,7 +80,15 @@ def test_lfun_table_and_value(capsys):
     assert "modulus 5: 4 characters" in out
     assert len(out.strip().splitlines()) == 6
     code, out = _run_argv(capsys, ["lfun", "2", "0", "2", "0", "3", "--json"])
-    assert code == 0 and json.loads(out)["value_re"] == pytest.approx(1.125)
+    payload = json.loads(out)
+    assert code == 0 and payload["value_re"] == pytest.approx(1.125)
+    # the plain line prints the same three complex numbers
+    code, out = _run_argv(capsys, ["lfun", "2", "0", "2", "0", "3"])
+    value, log, deriv = (
+        complex(payload[f"{key}_re"], payload[f"{key}_im"]) for key in ("value", "log", "logderiv")
+    )
+    assert code == 0
+    assert out == f"L(2+0i, chi_0 mod 2; y=3) = {value!r}  log={log!r}  L'/L={deriv!r}\n"
 
 
 # The exact --list-chars text at moduli covering both power-of-two branches
@@ -176,6 +209,11 @@ def test_lfun_argument_errors(capsys):
             "abscissa c=1200 too large for the kernel (lo=0.5, hi=2): c log hi exceeds 675.8",
         ),
         (["verify", "--suite", "majorant", "--seeds", "-3"], "seed count must be >= 0, got -3"),
+        (
+            ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "1", "--T", "80"]
+            + ["--kernel-hi", "inf"],
+            "need 0 < lo < hi < inf, got lo=0.5, hi=inf",
+        ),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling",
@@ -188,7 +226,7 @@ def test_lfun_argument_errors(capsys):
         "contour_abscissa_overflows", "contour_abscissa_overflows_hi",
         "contour_panels_above_cap_by_height",
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
-        "contour_abscissa_past_kernel_range", "verify_negative_seeds",
+        "contour_abscissa_past_kernel_range", "verify_negative_seeds", "contour_kernel_hi_inf",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, tmp_path, argv, message):

@@ -376,6 +376,15 @@ def test_rescaled_kernel_for_unsmoothing_family():
         SmoothingKernel(lo=1.0, hi=0.5)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(0.5, math.inf), (0.5, math.nan), (0.0, 2.0), (math.inf, math.inf)]
+)
+def test_kernel_needs_finite_ordered_positive_bounds(lo, hi):
+    # an infinite hi has no finite Mellin coefficients, so it is refused up front
+    with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
+        SmoothingKernel(lo, hi)
+
+
 # -- composite rule layout ------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_count_smooth, brute_smooth_list, naive_is_smooth
 from smoothlab import (
+    DirichletCharacter,
     SmoothCountQuery,
     SmoothingKernel,
     character_group,
@@ -101,7 +102,9 @@ def test_modulus_beyond_int64_refused():
     # vals % q and the class weights run in int64, so q = 2^63 - 1 is the largest
     big = 2**63 - 1
     assert count_smooth(SmoothCountQuery(x=100.0, y=5.0, q=big, a=1)).value == 1
-    assert count_smooth_weighted(SmoothCountQuery(x=100.0, y=5.0, q=big, a=1), KERNEL).exact
+    # every n <= KERNEL.hi * x is its own residue, so only n = 1 is in the class
+    weighted = count_smooth_weighted(SmoothCountQuery(x=100.0, y=5.0, q=big, a=1), KERNEL)
+    assert weighted.value == KERNEL.phi(1 / 100.0)
     for q in (2**63, 10**20):
         with pytest.raises(ValueError, match=f"modulus q={q} exceeds the int64 bound 2\\^63 - 1"):
             SmoothCountQuery(x=100.0, y=5.0, q=q)
@@ -165,7 +168,8 @@ def test_weighted_ceiling_bounds_the_enumeration_limit():
     assert count_smooth(query).value == 26
     with pytest.raises(ThresholdExceededError):
         count_smooth_weighted(query, KERNEL)
-    assert count_smooth_weighted(SmoothCountQuery(x=5e7, y=2.0), KERNEL).exact
+    got = count_smooth_weighted(SmoothCountQuery(x=5e7, y=2.0), KERNEL).value
+    assert got == pytest.approx(math.fsum(KERNEL.phi(2**k / 5e7) for k in range(27)), abs=1e-12)
 
 
 # -- weighted counts -----------------------------------------------------------
@@ -239,6 +243,21 @@ def test_cached_class_weights_match_brute_force(x, y, q):
                 assert got == pytest.approx(want, abs=1e-12)
         got = count_smooth_weighted(query, KERNEL).value
         assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
+
+
+def test_character_sum_reads_chi_only_at_the_residues_that_occur(monkeypatch):
+    # a table of chi on all q residues costs O(q) per call, as
+    # character_group(q)[j] builds a new character (and table) each time
+    def no_table(self):
+        raise AssertionError("value table built")
+
+    monkeypatch.setattr(DirichletCharacter, "value_table", no_table)
+    q, x, y = 1009, 1000.0, 50.0
+    chi = character_group(q)[1]
+    got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q), KERNEL, chi=chi).value
+    terms = [chi(n) * KERNEL.phi(n / x) for n in brute_smooth_list(KERNEL.hi * x, y, q)]
+    want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert abs(got - want) <= 1e-12
 
 
 def test_weighted_query_above_the_ceiling_refused_on_every_call():
@@ -400,7 +419,7 @@ def test_bigx_single_prime_walk_exact_or_refused(bigx, y, q, exact):
     except ThresholdExceededError as exc:
         assert "too large for an exact count" in str(exc)
     else:
-        assert got.value == exact and got.exact
+        assert got.value == exact
     assert time.perf_counter() - start < 1.0
 
 
