@@ -13,6 +13,7 @@ their defaults:
     count                  count 100000 1000 --q 7 --a 3 --weighted --json
     saddle                 saddle 1e8 1000 --json
     lfun                   lfun 1.2 0.5 999983 1 50 --json
+    chars                  chars 100003
     contour                contour --x 1e5 --y 1000 --q 7 --chi 1 --T 160
     verify                 verify --suite all --seeds 100
     experiment             experiment --config CFG (equidistribution)
@@ -48,6 +49,7 @@ CLI = {
     "count": ["count", "100000", "1000", "--q", "7", "--a", "3", "--weighted", "--json"],
     "saddle": ["saddle", "1e8", "1000", "--json"],
     "lfun": ["lfun", "1.2", "0.5", "999983", "1", "50", "--json"],
+    "chars": ["chars", "100003"],
     "contour": ["contour", "--x", "1e5", "--y", "1000", "--q", "7", "--chi", "1", "--T", "160"],
     "verify": ["verify", "--suite", "all", "--seeds", "100"],
     "experiment": ["experiment", "--config", "config.json"],

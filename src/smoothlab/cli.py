@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: count, saddle, lfun, contour, verify, experiment.  Output is
+Subcommands: count, saddle, lfun, chars, contour, verify, experiment.  Output is
 plain text by default and JSON with --json where offered; all output is
 byte-deterministic for a fixed invocation.
 """
@@ -41,8 +41,13 @@ def _dump(obj) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     query = SmoothCountQuery(x=args.x, y=args.y, q=args.q, a=args.a)
     if args.weighted:
-        kernel = SmoothingKernel(args.kernel_lo, args.kernel_hi)
+        kernel = SmoothingKernel(
+            SmoothingKernel.lo if args.kernel_lo is None else args.kernel_lo,
+            SmoothingKernel.hi if args.kernel_hi is None else args.kernel_hi,
+        )
         result = count_smooth_weighted(query, kernel)
+    elif (args.kernel_lo, args.kernel_hi) != (None, None):
+        raise ValueError("count: --kernel-lo and --kernel-hi need --weighted")
     else:
         result = count_smooth(query)
     value = result.value
@@ -71,17 +76,8 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
 
 
 def _cmd_lfun(args: argparse.Namespace) -> int:
-    if args.list_chars is not None:
-        q = args.list_chars
-        chars = character_group(q)
-        print(f"modulus {q}: {len(chars)} characters")
-        print("index order conductor principal values_on_generators")
-        for i, chi in enumerate(chars):
-            gens = " ".join(f"chi({g})=e(2pi*{a})" for g, a in chi.values_on_generators())
-            print(f"{i} {chi.order} {chi.conductor} {int(chi.is_principal)} {gens}")
-        return 0
     if None in (args.s_re, args.s_im, args.q, args.chi_index, args.y):
-        raise ValueError("lfun: need s-re s-im q chi-index y (or --list-chars q)")
+        raise ValueError("lfun: need s-re s-im q chi-index y")
     chars = character_group(args.q)
     if not (0 <= args.chi_index < len(chars)):
         raise ValueError(f"lfun: chi-index out of range [0, {len(chars)})")
@@ -101,6 +97,16 @@ def _cmd_lfun(args: argparse.Namespace) -> int:
             f"L({args.s_re:g}+{args.s_im:g}i, chi_{args.chi_index} mod {args.q}; y={args.y:g}) "
             f"= {val.value!r}  log={val.log_value!r}  L'/L={val.log_deriv!r}"
         )
+    return 0
+
+
+def _cmd_chars(args: argparse.Namespace) -> int:
+    chars = character_group(args.q)
+    print(f"modulus {args.q}: {len(chars)} characters")
+    print("index order conductor principal values_on_generators")
+    for i, chi in enumerate(chars):
+        gens = " ".join(f"chi({g})=e(2pi*{a})" for g, a in chi.values_on_generators())
+        print(f"{i} {chi.order} {chi.conductor} {int(chi.is_principal)} {gens}")
     return 0
 
 
@@ -147,6 +153,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig.from_json(args.config)
     mode = args.mode
     if mode == "unsmoothing":
+        if config.output_format != "csv" or args.emit_plot_data:
+            raise ValueError("experiment: --mode unsmoothing writes CSV only and no plot data")
         records = run_unsmoothing(config)
         if config.output_path:
             export_unsmoothing(records, config.output_path)
@@ -177,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--weighted", action="store_true")
-    p.add_argument("--kernel-lo", type=float, default=SmoothingKernel.lo)
-    p.add_argument("--kernel-hi", type=float, default=SmoothingKernel.hi)
+    p.add_argument("--kernel-lo", type=float, default=None, help="with --weighted only")
+    p.add_argument("--kernel-hi", type=float, default=None, help="with --weighted only")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -189,15 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_saddle)
 
-    p = sub.add_parser("lfun", help="truncated Euler products and character tables")
+    p = sub.add_parser("lfun", help="truncated Euler products")
     p.add_argument("s_re", type=float, nargs="?", default=None)
     p.add_argument("s_im", type=float, nargs="?", default=None)
     p.add_argument("q", type=int, nargs="?", default=None)
     p.add_argument("chi_index", type=int, nargs="?", default=None)
     p.add_argument("y", type=float, nargs="?", default=None)
-    p.add_argument("--list-chars", type=int, default=None, metavar="Q")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lfun)
+
+    p = sub.add_parser("chars", help="the character table of a modulus")
+    p.add_argument("q", type=int)
+    p.set_defaults(func=_cmd_chars)
 
     p = sub.add_parser("contour", help="contour reconstruction of a weighted count")
     p.add_argument("--x", type=float, required=True)

@@ -206,8 +206,6 @@ def oscillating_integral(
         raise ValueError("need beta in [0.75, 1.5]")
     if not 0 < x < math.inf:
         raise ValueError("need finite x > 0")
-    if t0 == t1:
-        return 0j
     n_panels = max(4, math.ceil((t1 - t0) / _widest_panel(x)))
     _, mid, offsets, weights = panel_grid(t0, t1, n_panels, (DEFAULT_ORDER,))
     nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)

@@ -12,9 +12,8 @@ do not drift.
 from __future__ import annotations
 
 import cmath
-import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,7 +48,6 @@ def _primitive_root(p: int) -> int:
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
-    raise ArithmeticError(f"no primitive root found mod {p}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,9 @@ class _UnitGroup:
         gens = []
         for comp in self.components:
             rest = self.q // comp.modulus
+            inv = pow(rest, -1, comp.modulus)
             for g in comp.gens:
-                if rest == 1:
-                    gens.append(g % self.q)
-                else:
-                    inv = pow(rest, -1, comp.modulus)
-                    gens.append((1 + rest * ((g - 1) * inv % comp.modulus)) % self.q)
+                gens.append((1 + rest * ((g - 1) * inv % comp.modulus)) % self.q)
         return tuple(gens)
 
     def dlog_of(self, n: int) -> tuple[int, ...]:
@@ -141,12 +136,12 @@ def _unit_group(q: int) -> _UnitGroup:
     return _UnitGroup(q, comps)
 
 
-_QUARTER_VALUES = {
-    Fraction(0): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+def _turn(k: int, n: int) -> complex:
+    """e(k / n) for 0 <= k < n: exact at the quarter turns, else one
+    complex exponential of the correctly rounded float k / n."""
+    if 4 * k % n == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * k // n]
+    return cmath.exp(2j * cmath.pi * (k / n))
 
 
 @dataclass(frozen=True)
@@ -192,12 +187,7 @@ class DirichletCharacter:
 
     def __call__(self, n: int) -> complex:
         a = self.angle(n)
-        if a is None:
-            return 0j
-        exact = _QUARTER_VALUES.get(a)
-        if exact is not None:
-            return exact
-        return cmath.exp(2j * cmath.pi * float(a))
+        return 0j if a is None else _turn(a.numerator, a.denominator)
 
     def conjugate(self) -> "DirichletCharacter":
         exps = tuple((-m) % d for m, d in zip(self.exponents, self.group.orders))
@@ -226,23 +216,14 @@ class DirichletCharacter:
             k += (m * dlog[ns % modulus] % d) * (big_l // d)
         units = np.gcd(ns, self.modulus) == 1
         distinct, where = np.unique(k[units] % big_l, return_inverse=True)
-        turns = [
-            _QUARTER_VALUES[Fraction(4 * kk // big_l, 4)]
-            if 4 * kk % big_l == 0
-            else cmath.exp(2j * cmath.pi * (kk / big_l))
-            for kk in distinct.tolist()
-        ]
+        turns = [_turn(kk, big_l) for kk in distinct.tolist()]
         out = np.zeros(ns.shape, dtype=complex)
         out[units] = np.array(turns, dtype=complex)[where]
         return out
 
-    @cached_property
-    def _value_table(self) -> np.ndarray:
-        return self.values(np.arange(self.modulus))
-
     def value_table(self) -> np.ndarray:
         """chi on all residues 0..q-1 as a complex array (zeros off support)."""
-        return self._value_table
+        return self.values(np.arange(self.modulus))
 
     def values_on_generators(self) -> list[tuple[int, Fraction]]:
         """(lifted generator, angle) pairs describing chi completely."""
@@ -295,11 +276,6 @@ class _Characters(Sequence):
             i, m = divmod(i, d)
             exps.append(m)
         return DirichletCharacter(self._group.q, tuple(reversed(exps)), self._group)
-
-    def __iter__(self) -> Iterator[DirichletCharacter]:
-        group = self._group
-        for exps in itertools.product(*[range(d) for d in group.orders]):
-            yield DirichletCharacter(group.q, exps, group)
 
 
 def character_group(q: int) -> Sequence[DirichletCharacter]:

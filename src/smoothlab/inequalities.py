@@ -249,6 +249,8 @@ def check_majorant(
         raise ValueError(f"need 1 <= n <= {MAX_MAJORANT_TERMS}")
     if not (lambdas.size == a.size == big_a.size == n):
         raise ValueError("lambdas, a, big_a must all have length n")
+    if not (math.isfinite(T) and all(np.isfinite(v).all() for v in (lambdas, a, big_a))):
+        raise ValueError("lambdas, a, big_a and T must be finite")
     if T <= 0:
         raise ValueError("need T > 0")
     if np.any(big_a < 0):
@@ -300,8 +302,8 @@ def check_calculus(c: float, t: float, seed: int = 0) -> InequalityReport:
     """(1 + t)^c <= 1 + c t for t >= 0 and c in [0, 1]."""
     if not (0 <= c <= 1):
         raise ValueError("need c in [0, 1]")
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError("need finite t >= 0")
     return _report((1.0 + t) ** c, 1.0 + c * t, seed, "calculus")
 
 
@@ -316,8 +318,6 @@ def calculus_grid() -> list[InequalityReport]:
 
 # -- seeded corpus driver -------------------------------------------------------------
 
-SUITES = ("lemma1", "lemma2", "majorant", "pointwise", "calculus")
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -328,8 +328,7 @@ class SuiteResult:
     min_ratio: float | None  # smallest rhs/lhs seen (majorant headroom record)
 
 
-def _draw_euler_instance(seed: int) -> tuple[RandomEulerSpec, object]:
-    rng = np.random.default_rng(seed)
+def _draw_euler_instance(rng: np.random.Generator, seed: int) -> tuple[RandomEulerSpec, object]:
     y = float(rng.uniform(0.0, MAX_EULER_Y))
     spec = RandomEulerSpec(
         y=y,
@@ -346,37 +345,48 @@ def _draw_euler_instance(seed: int) -> tuple[RandomEulerSpec, object]:
     return spec, F
 
 
-def _run_one(suite: str, seed: int) -> InequalityReport:
-    if suite in ("lemma1", "lemma2"):
-        check = check_lemma1 if suite == "lemma1" else check_lemma2
-        return check(*_draw_euler_instance(seed))
-    rng = np.random.default_rng(seed)
-    if suite == "majorant":
-        n = int(rng.integers(1, MAX_MAJORANT_TERMS + 1))
-        lambdas = rng.uniform(-5.0, 5.0, n)
-        big_a = np.abs(rng.normal(size=n))
-        shrink = np.where(rng.uniform(size=n) < 0.5, rng.uniform(0.0, 1.0, n), 1.0)
-        a = big_a * shrink * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-        return check_majorant(n, lambdas, a, big_a, float(rng.uniform(0.1, 10.0)), seed)
-    if suite == "pointwise":
-        ps = primes_upto(10_000)
-        p = int(ps[rng.integers(0, len(ps))])
-        chi_p = 0j if rng.uniform() < 0.05 else complex(np.exp(2j * np.pi * rng.uniform()))
-        return check_pointwise_product(
-            p, chi_p, float(rng.uniform(-50.0, 50.0)), float(rng.uniform(0.3, 1.5)), seed
-        )
-    if suite == "calculus":
-        return check_calculus(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 50.0)), seed)
-    raise ValueError(f"unknown suite {suite!r}")
+def _draw_majorant(rng: np.random.Generator, seed: int) -> InequalityReport:
+    n = int(rng.integers(1, MAX_MAJORANT_TERMS + 1))
+    lambdas = rng.uniform(-5.0, 5.0, n)
+    big_a = np.abs(rng.normal(size=n))
+    shrink = np.where(rng.uniform(size=n) < 0.5, rng.uniform(0.0, 1.0, n), 1.0)
+    a = big_a * shrink * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+    return check_majorant(n, lambdas, a, big_a, float(rng.uniform(0.1, 10.0)), seed)
+
+
+def _draw_pointwise(rng: np.random.Generator, seed: int) -> InequalityReport:
+    ps = primes_upto(10_000)
+    p = int(ps[rng.integers(0, len(ps))])
+    chi_p = 0j if rng.uniform() < 0.05 else complex(np.exp(2j * np.pi * rng.uniform()))
+    return check_pointwise_product(
+        p, chi_p, float(rng.uniform(-50.0, 50.0)), float(rng.uniform(0.3, 1.5)), seed
+    )
+
+
+# One seeded draw and check per suite.  The draws call the checks through this
+# module's globals, so that a wrapper installed there sees every call.
+_DRAWS = {
+    "lemma1": lambda rng, seed: check_lemma1(*_draw_euler_instance(rng, seed)),
+    "lemma2": lambda rng, seed: check_lemma2(*_draw_euler_instance(rng, seed)),
+    "majorant": _draw_majorant,
+    "pointwise": _draw_pointwise,
+    "calculus": lambda rng, seed: check_calculus(
+        float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 50.0)), seed
+    ),
+}
+SUITES = tuple(_DRAWS)
 
 
 def run_suite(suite: str, count: int, seed_base: int = 0) -> SuiteResult:
-    """Run `count` >= 0 seeded instances of one suite; reports come in seed order."""
+    """Run `count` >= 0 instances of one suite, seeded from `seed_base` >= 0 up, in seed order."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
     if count < 0:
         raise ValueError(f"seed count must be >= 0, got {count}")
-    reports = [_run_one(suite, seed_base + i) for i in range(count)]
+    if seed_base < 0:
+        raise ValueError(f"seed base must be >= 0, got {seed_base}")
+    draw = _DRAWS[suite]
+    reports = [draw(np.random.default_rng(s), s) for s in range(seed_base, seed_base + count)]
     violations = sum(1 for rep in reports if not rep.holds)
     ratios = [rep.rhs / rep.lhs for rep in reports if rep.lhs > 0 and not rep.degenerate]
     return SuiteResult(

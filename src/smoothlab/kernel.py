@@ -204,8 +204,6 @@ class SmoothingKernel:
             raise ValueError("Mellin ordinates ts + offsets overflow a float (in t or in t log u)")
         height = _pochhammer_coeffs(self.lo, self.hi)[2]
         above = (ts + lowest >= height) | (ts + highest <= -height)
-        if not above.any():
-            return self._quadrature(c, ts, offsets)
         out = np.empty((ts.size, offsets.size), dtype=complex)
         below = ~above
         if below.any():
@@ -283,7 +281,7 @@ class SmoothingKernel:
             spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
             spin_xi = np.exp(1j * np.multiply.outer(offsets, xi))  # (offset, xi)
         out = np.empty((ts.size, offsets.size), dtype=complex)
-        step = max(1, _BLOCK // max(1, offsets.size * (mid.size + xi.size)))
+        step = max(1, _BLOCK // (offsets.size * (mid.size + xi.size)))
         for k in range(0, ts.size, step):
             rows = ts[k : k + step]
             s = c + 1j * np.add.outer(rows, offsets)

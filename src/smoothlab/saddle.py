@@ -71,8 +71,7 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
             lo = a
         else:
             hi = a
-        step = derivative(a)
-        nxt = a - f / step if step != 0 else 0.5 * (lo + hi)
+        nxt = a - f / derivative(a)
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
         if nxt == a:

@@ -87,7 +87,7 @@ def is_smooth(n: int, y: float) -> bool:
             break
         while m % p == 0:
             m //= p
-    return m <= y
+    return m == 1 or m <= y
 
 
 def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
@@ -189,8 +189,9 @@ def _class_weights(
     return residues, sums
 
 
-def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:
-    """The primes p <= y with p not dividing q, after checking bigx = (base, exponent), y and q."""
+def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int], float]:
+    """The primes p <= y not dividing q and the log budget exponent * log(base),
+    inf past the float range, after checking bigx = (base, exponent), y and q."""
     base, exponent = bigx
     if base < 2 or exponent < 1:
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
@@ -198,7 +199,11 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> list[int]:
         raise ValueError("smoothness bound y must be finite and >= 2")
     if q < 1:
         raise ValueError("modulus q must be >= 1")
-    return [p for p in primes_upto(y) if q % p != 0]
+    try:
+        budget = exponent * math.log(base)
+    except OverflowError:
+        budget = math.inf
+    return [p for p in primes_upto(y) if q % p != 0], budget
 
 
 def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCount:
@@ -230,7 +235,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     for two.  An exponent past the float range counts as B = inf.
     """
     base, exponent = bigx
-    plist = _lattice_primes(bigx, y, q)
+    plist, budget = _lattice_primes(bigx, y, q)
     if len(plist) > MAX_LATTICE_PRIMES:
         raise TooManyPrimesError(
             f"{len(plist)} primes <= {y} exceed the lattice bound {MAX_LATTICE_PRIMES}"
@@ -238,10 +243,6 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     if not plist:
         return SmoothCount(1)  # only n = 1
 
-    try:
-        budget = exponent * math.log(base)
-    except OverflowError:
-        budget = math.inf
     depth = len(plist) - 1
     if (4 * depth + 10) * 2.0**-53 * (budget + LOG_GUARD) >= LOG_GUARD:
         raise ThresholdExceededError(
@@ -304,10 +305,11 @@ def ennola_estimate(bigx: tuple[int, int], y: float, q: int = 1) -> EnnolaEstima
 
     The heuristic relative error factor y^2 / (log x log y) is returned
     alongside; a warning is issued outside the regime 2 <= y <= sqrt(log x).
+    A log x past the float range raises ThresholdExceededError.
     """
-    base, exponent = bigx
-    plist = _lattice_primes(bigx, y, q)
-    log_x = exponent * math.log(base)
+    plist, log_x = _lattice_primes(bigx, y, q)
+    if log_x == math.inf:
+        raise ThresholdExceededError("log budget exponent * log(base) overflows a float")
     if y > math.sqrt(log_x):
         warnings.warn(
             f"y={y:g} outside the recommended window [2, sqrt(log x)={math.sqrt(log_x):.3g}]",

@@ -75,7 +75,7 @@ def test_saddle(capsys):
 
 
 def test_lfun_table_and_value(capsys):
-    code, out = _run_argv(capsys, ["lfun", "--list-chars", "5"])
+    code, out = _run_argv(capsys, ["chars", "5"])
     assert code == 0
     assert "modulus 5: 4 characters" in out
     assert len(out.strip().splitlines()) == 6
@@ -91,7 +91,7 @@ def test_lfun_table_and_value(capsys):
     assert out == f"L(2+0i, chi_0 mod 2; y=3) = {value!r}  log={log!r}  L'/L={deriv!r}\n"
 
 
-# The exact --list-chars text at moduli covering both power-of-two branches
+# The exact chars text at moduli covering both power-of-two branches
 # (the lone generator 3 mod 4, the pair -1, 5 mod 8), an odd prime power and
 # a product of the three kinds.
 LIST_CHARS_GOLDEN = {
@@ -136,7 +136,7 @@ LIST_CHARS_GOLDEN = {
 
 def test_list_chars_golden(capsys):
     for q, want in LIST_CHARS_GOLDEN.items():
-        code, out = _run_argv(capsys, ["lfun", "--list-chars", str(q)])
+        code, out = _run_argv(capsys, ["chars", str(q)])
         assert code == 0
         assert out == want
 
@@ -214,6 +214,21 @@ def test_lfun_argument_errors(capsys):
             + ["--kernel-hi", "inf"],
             "need 0 < lo < hi < inf, got lo=0.5, hi=inf",
         ),
+        (
+            ["count", "100", "5", "--kernel-lo", "0.3", "--kernel-hi", "0.1"],
+            "count: --kernel-lo and --kernel-hi need --weighted",
+        ),
+        (
+            ["experiment", "--config", {"xs": [100.0], "ys": [5.0], "qs": [3]}]
+            + ["--mode", "unsmoothing", "--emit-plot-data", "plot.csv"],
+            "experiment: --mode unsmoothing writes CSV only and no plot data",
+        ),
+        (
+            ["experiment", "--mode", "unsmoothing", "--config"]
+            + [{"xs": [100.0], "ys": [5.0], "qs": [3], "output_format": "json"}],
+            "experiment: --mode unsmoothing writes CSV only and no plot data",
+        ),
+        (["verify", "--suite", "calculus", "--seed-base", "-5"], "seed base must be >= 0, got -5"),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling",
@@ -227,6 +242,8 @@ def test_lfun_argument_errors(capsys):
         "contour_panels_above_cap_by_height",
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
         "contour_abscissa_past_kernel_range", "verify_negative_seeds", "contour_kernel_hi_inf",
+        "count_kernel_flags_without_weighted", "unsmoothing_plot_data", "unsmoothing_json",
+        "verify_negative_seed_base",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, tmp_path, argv, message):
@@ -359,7 +376,7 @@ def _subprocess_out(argv):
         ["saddle", "100000", "30", "--json"],
         ["verify", "--suite", "majorant", "--seeds", "20", "--seed-base", "5"],
         ["verify", "--suite", "lemma1", "--seeds", "3", "--seed-base", "1"],
-        ["lfun", "--list-chars", "12"],
+        ["chars", "12"],
     ],
 )
 def test_byte_identical_reruns(argv):

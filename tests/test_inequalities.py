@@ -244,7 +244,7 @@ def _boundary_sup(spec: RandomEulerSpec, F, split_at: float, panels: int) -> flo
     [("lemma1", 700), ("lemma1", 943)] + [("lemma2", s) for s in (277, 317, 896, 925)],
 )
 def test_lemma_sup_is_a_lower_bound(suite, seed):
-    spec, F = _draw_euler_instance(seed)
+    spec, F = _draw_euler_instance(np.random.default_rng(seed), seed)
     split_at = math.inf if suite == "lemma1" else math.sqrt(spec.y)
     sup_term = _segment_quantities(spec, F, split_at)[1]
     assert sup_term <= _boundary_sup(spec, F, split_at, 4096) * (1 + 1e-9)
@@ -266,7 +266,9 @@ def test_degenerate_lemma_draws_counted_apart(suite):
     for base, count in ((32, 4), (52, 3)):
         result = run_suite(suite, count, seed_base=base)
         marked = [rep.seed for rep in result.reports if rep.degenerate]
-        assert marked == [s for s in range(base, base + count) if _draw_euler_instance(s)[0].y < 2]
+        seeds = range(base, base + count)
+        draws = [_draw_euler_instance(np.random.default_rng(s), s)[0] for s in seeds]
+        assert marked == [spec.seed for spec in draws if spec.y < 2]
         assert result.degenerate == len(marked) == 1
         kept = [rep.rhs / rep.lhs for rep in result.reports if not rep.degenerate]
         assert result.min_ratio == min(kept) > 1.0

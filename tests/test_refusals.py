@@ -7,6 +7,7 @@ from smoothlab import (
     ExperimentConfig,
     SmoothCountQuery,
     character_group,
+    check_calculus,
     check_majorant,
     count_smooth_bigx,
     export_results,
@@ -17,6 +18,7 @@ from smoothlab import (
 )
 
 ONE = np.ones(1)
+NAN = np.full(1, np.nan)
 
 
 @pytest.mark.parametrize(
@@ -36,9 +38,15 @@ ONE = np.ones(1)
             "lambdas, a, big_a must all have length n",
         ),
         (lambda tmp: check_majorant(1, ONE, ONE, ONE, 0.0), "need T > 0"),
+        (lambda tmp: check_majorant(1, ONE, ONE, ONE, np.nan), "and T must be finite"),
+        (lambda tmp: check_majorant(1, NAN, ONE, ONE, 1.0), "and T must be finite"),
+        (lambda tmp: check_majorant(1, ONE, NAN, ONE, 1.0), "and T must be finite"),
+        (lambda tmp: check_majorant(1, ONE, ONE, NAN, 1.0), "and T must be finite"),
+        (lambda tmp: check_calculus(0.5, np.nan), "need finite t >= 0"),
         (lambda tmp: pointwise_product_chain(1, 1.0, 0.0, 1.0), "p must be a prime >= 2"),
         (lambda tmp: pointwise_product_chain(2, 1.0, 0.0, 0.0), "need alpha > 0"),
         (lambda tmp: run_suite("nope", 1), "suite must be one of"),
+        (lambda tmp: run_suite("calculus", 1, seed_base=-5), "seed base must be >= 0, got -5"),
         (lambda tmp: character_group(0), "modulus must be a positive integer"),
         (
             lambda tmp: character_group(5)[1] * character_group(7)[1],
@@ -48,8 +56,10 @@ ONE = np.ones(1)
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
         "config_empty_xs", "export_format_xml", "power_subgroup_q_0", "power_subgroup_q_minus_5",
-        "majorant_n_0", "majorant_unequal_lengths", "majorant_T_0", "chain_p_1",
-        "chain_alpha_0", "suite_unknown", "character_group_0", "characters_of_two_moduli",
+        "majorant_n_0", "majorant_unequal_lengths", "majorant_T_0", "majorant_T_nan",
+        "majorant_lambdas_nan", "majorant_a_nan", "majorant_big_a_nan", "calculus_t_nan",
+        "chain_p_1", "chain_alpha_0", "suite_unknown", "suite_seed_base_negative",
+        "character_group_0", "characters_of_two_moduli",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):

@@ -40,6 +40,11 @@ def test_is_smooth_examples():
     assert is_smooth(1, 2)
 
 
+@pytest.mark.parametrize("y", [0.5, 1.0, 1.5, math.inf])
+def test_one_is_smooth_at_every_y(y):
+    assert is_smooth(1, y)
+
+
 @given(n=st.integers(min_value=1, max_value=5000), y=st.floats(min_value=2, max_value=60))
 def test_is_smooth_matches_naive_factorization(n, y):
     assert is_smooth(n, y) == naive_is_smooth(n, y)
@@ -462,6 +467,12 @@ def test_ennola_prime_set_respects_modulus():
     want = 0.5 * (log_x / math.log(2)) * (log_x / math.log(5))
     assert est.main_term == pytest.approx(want, rel=1e-12)
     assert est.prime_count == 2
+
+
+def test_ennola_refuses_log_x_past_float_range():
+    # 10**400 log 2 is past the float range, as count_smooth_bigx's budget is
+    with pytest.raises(ThresholdExceededError, match="overflows a float"):
+        ennola_estimate((2, 10**400), 5.0)
 
 
 def test_ennola_warns_outside_regime():
