@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -242,10 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; a ValueError or SmoothLabError it raises becomes a
-    one-line message on stderr and exit status 2."""
+    one-line message on stderr and exit status 2.  A stdout closed early by
+    its reader, as `| head` closes it, ends the run quietly with status 1."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, SmoothLabError) as exc:
         print(f"smoothlab: error: {exc}", file=sys.stderr)
         return 2

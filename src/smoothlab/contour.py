@@ -114,8 +114,9 @@ def _cell(
 
 
 def _widest_panel(x: float) -> float:
-    """min(1, 2pi/log x): the widest panel that sees at most one period of x^(it)."""
-    return min(1.0, 2 * math.pi / math.log(x)) if x > 1 else 1.0
+    """2pi / max(log x, 2pi), that is min(1, 2pi/log x) for x > 1 and 1 below:
+    the widest panel that sees at most one period of x^(it)."""
+    return 2 * math.pi / max(math.log(x), 2 * math.pi)
 
 
 def _x_power(x: float, c: float, kernel: SmoothingKernel) -> float:

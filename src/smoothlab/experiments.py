@@ -175,11 +175,10 @@ def run_coset(config: ExperimentConfig) -> list[ResultRecord]:
                 continue
             coset = sorted(a * h % q for h in subgroups[q])
             seen.update(coset)
-            for i, a1 in enumerate(coset):
-                for a2 in coset[i + 1 :]:
-                    diff = counts[a1] - counts[a2]
-                    label = f"{coset[0]}H:{a1}/{a2}"
-                    records.append(record(a=label, count=diff, discrepancy=abs(diff) * phi / total))
+            for a1, a2 in itertools.combinations(coset, 2):
+                diff = counts[a1] - counts[a2]
+                label = f"{coset[0]}H:{a1}/{a2}"
+                records.append(record(a=label, count=diff, discrepancy=abs(diff) * phi / total))
     return records
 
 

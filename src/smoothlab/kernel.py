@@ -49,10 +49,7 @@ MAX_PANELS = 1 << 16
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@lru_cache(maxsize=64)
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(order)
-    return nodes, weights
+_gauss = lru_cache(maxsize=64)(leggauss)
 
 
 def panel_grid(

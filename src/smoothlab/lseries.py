@@ -55,7 +55,7 @@ def _guarded(
     factors = np.subtract(1.0, terms, out=out)
     if max_modulus is not None and 1.0 - max_modulus * (1 + _BOUND_SLACK) >= POLE_GUARD:
         return factors
-    if factors.size and np.min(np.abs(factors)) < POLE_GUARD:
+    if np.min(np.abs(factors), initial=np.inf) < POLE_GUARD:
         raise NearPoleError(f"Euler factor within {POLE_GUARD:g} of zero")
     return factors
 

@@ -61,11 +61,9 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
     lo, hi = BRACKET_LO, BRACKET_HI
     a = min(1.0, 0.5 * (lo + hi))
     tol = RESIDUAL_REL * max(1.0, log_x)
-    converged = False
     for _ in range(NEWTON_CAP):
         f = value(a) - log_x
         if abs(f) <= tol:
-            converged = True
             break
         if f > 0:  # sum too large: root lies to the right
             lo = a
@@ -75,10 +73,9 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
         if not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
         if nxt == a:
-            converged = True
             break
         a = nxt
-    if not converged:
+    else:
         raise NoConvergenceError(f"saddle iteration did not converge for x={x:g}, y={y:g}")
 
     log_y = math.log(y)

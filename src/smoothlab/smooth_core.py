@@ -180,10 +180,7 @@ def _class_weights(
     starts = np.flatnonzero(np.diff(runs, prepend=-1))
     residues = runs[starts]
     # reduceat sums each class's run of terms pairwise, as np.sum does
-    if vals.size:
-        sums = np.add.reduceat(kernel.phi_many(vals[order] / x), starts)
-    else:
-        sums = np.zeros(0)
+    sums = np.add.reduceat(kernel.phi_many(vals[order] / x), starts)
     residues.setflags(write=False)
     sums.setflags(write=False)
     return residues, sums
@@ -273,8 +270,8 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
             r = (budget - spent) / log0
             m = round(r)
             if abs(r - m) * log0 >= LOG_GUARD:
-                e_max = math.floor(r)
-                return e_max + 1 if e_max >= 0 else 0
+                # spent <= budget + LOG_GUARD, so floor(r) >= -1, which counts 0
+                return math.floor(r) + 1
             # base**exponent is built only here, on a tie
             n = p0**m * math.prod(p**e for (p, _), e in zip(rest, path))
             return m + 1 if n <= base**exponent else m
@@ -305,24 +302,32 @@ def ennola_estimate(bigx: tuple[int, int], y: float, q: int = 1) -> EnnolaEstima
 
     The heuristic relative error factor y^2 / (log x log y) is returned
     alongside; a warning is issued outside the regime 2 <= y <= sqrt(log x).
-    A log x past the float range raises ThresholdExceededError.
+    A log x, or a main term, past the float range raises
+    ThresholdExceededError before any warning.
     """
     plist, log_x = _lattice_primes(bigx, y, q)
     if log_x == math.inf:
         raise ThresholdExceededError("log budget exponent * log(base) overflows a float")
+    main = _simplex_count(log_x, plist)
     if y > math.sqrt(log_x):
         warnings.warn(
             f"y={y:g} outside the recommended window [2, sqrt(log x)={math.sqrt(log_x):.3g}]",
             stacklevel=2,
         )
     error = y * y / (log_x * math.log(y))
-    return EnnolaEstimate(_simplex_count(log_x, plist), error, len(plist))
+    return EnnolaEstimate(main, error, len(plist))
 
 
 def _simplex_count(log_x: float, plist: list[int]) -> float:
     """Ennola's main term (1/m!) * prod(log x / log p) over the m primes of
-    plist: the volume of the simplex sum e_p log p <= log x."""
-    main = 1.0 / math.factorial(len(plist))
-    for p in plist:
-        main *= log_x / math.log(p)
-    return main
+    plist: the volume of the simplex sum e_p log p <= log x.  It is formed
+    from logs, and a main term past the float range raises
+    ThresholdExceededError."""
+    log_main = math.fsum(math.log(log_x / math.log(p)) for p in plist)
+    log_main -= math.lgamma(len(plist) + 1)
+    try:
+        return math.exp(log_main)
+    except OverflowError:
+        raise ThresholdExceededError(
+            f"Ennola's main term e^{log_main:.6g} over {len(plist)} primes overflows a float"
+        ) from None

@@ -397,3 +397,22 @@ def test_experiment_byte_identical(tmp_path):
     blob2 = out_csv.read_bytes()
     assert first == second
     assert blob1 == blob2
+
+
+@pytest.mark.parametrize(
+    "argv", [["chars", "100003"], ["verify", "--suite", "all", "--seeds", "100"]], ids=" ".join
+)
+def test_closed_stdout_ends_quietly(argv):
+    # each prints far more than a pipe holds; the reader takes one line and
+    # closes, as `| head -1` does, so the next write meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smoothlab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothlab import primes_upto, saddle_alpha
+from smoothlab import primes_upto, saddle, saddle_alpha
 from smoothlab.errors import NoConvergenceError
 
 
@@ -122,3 +122,16 @@ def test_nonpositive_modulus_refused(q):
 
 def test_unit_modulus_drops_no_prime():
     assert saddle_alpha(10.0, 10.0, q=1) == saddle_alpha(10.0, 10.0)
+
+
+def test_stops_where_newton_step_is_a_fixed_point(monkeypatch):
+    # with no residual tolerance only the nxt == a stop can end the loop;
+    # it lands on the float the default tolerance stops at
+    monkeypatch.setattr(saddle, "RESIDUAL_REL", 0.0)
+    assert saddle_alpha(1e6, 100).alpha == 0.6038566933225169
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(saddle, "NEWTON_CAP", 1)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        saddle_alpha(1e6, 100)

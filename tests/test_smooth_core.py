@@ -475,6 +475,30 @@ def test_ennola_refuses_log_x_past_float_range():
         ennola_estimate((2, 10**400), 5.0)
 
 
+@pytest.mark.parametrize(
+    "bigx, y",
+    [
+        ((2, 10**30), 47.0),  # 15 primes: a product past the float range
+        ((2, 10**100), 47.0),
+        ((2, 10**6), 2000.0),  # 303 primes: 1/303! is past the float range
+    ],
+)
+def test_ennola_refuses_main_term_past_float_range(bigx, y):
+    with pytest.raises(ThresholdExceededError, match="main term .* overflows a float"):
+        ennola_estimate(bigx, y)
+
+
+def test_ennola_main_term_from_logs_matches_product():
+    # 170 primes: 1/170! is the smallest reciprocal factorial a float holds
+    plist = primes_upto(1019)
+    assert len(plist) == 171
+    log_x = 1e4 * math.log(2)
+    want = 1.0 / math.factorial(170)
+    for p in plist[:170]:
+        want *= log_x / math.log(p)
+    assert smooth_core._simplex_count(log_x, plist[:170]) == pytest.approx(want, rel=1e-12)
+
+
 def test_ennola_warns_outside_regime():
     with pytest.warns(UserWarning):
         ennola_estimate((2, 10), 5.0)
