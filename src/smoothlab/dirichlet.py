@@ -12,6 +12,7 @@ do not drift.
 from __future__ import annotations
 
 import cmath
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -126,9 +127,10 @@ class _UnitGroup:
         return tuple(out)
 
 
-@lru_cache(maxsize=128)
+# typed, so that q = 7.0 or True is checked and not served the entry of 7 or 1
+@lru_cache(maxsize=128, typed=True)
 def _unit_group(q: int) -> _UnitGroup:
-    if q < 1:
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool) or q < 1:
         raise ValueError("modulus must be a positive integer")
     if q > MAX_MODULUS:
         raise ModulusTooLargeError(f"modulus {q} exceeds table bound {MAX_MODULUS}")

@@ -153,6 +153,8 @@ def max_discrepancy(records: list[ResultRecord]) -> dict[tuple[float, float, int
 
 def power_subgroup(q: int, exponent: int) -> list[int]:
     """The subgroup of exponent-th powers in (Z/qZ)*, a surrogate coset structure."""
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+        raise ValueError(f"modulus q must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("modulus q must be >= 1")
     units = [a for a in range(q) if gcd(a, q) == 1]

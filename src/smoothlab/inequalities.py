@@ -7,6 +7,7 @@ the quadrature tolerance indicates a bug somewhere in this package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -269,7 +270,11 @@ def pointwise_product_chain(
     p: int, chi_p: complex, t: float, alpha: float
 ) -> tuple[float, float, float]:
     """(|1 + (1-z)/(p^a - 1)|, 1 + (1-Re z)/(p^a - 1), exp((1-Re z)/p^a))
-    with z = chi_p p^-it; the first dominates the second dominates the third."""
+    with z = chi_p p^-it; the first dominates the second dominates the third.
+    A non-finite chi_p, t or alpha is refused with a ValueError naming it."""
+    for name, value in (("chi_p", chi_p), ("t", t), ("alpha", alpha)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     if alpha <= 0:

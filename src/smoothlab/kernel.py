@@ -39,9 +39,9 @@ _STEP_DESC = np.array(_STEP_COEFFS[::-1], dtype=float)
 # are alive at once, so memory does not grow with the number of rows.
 _BLOCK = 1 << 16
 
-# Largest panel count of one composite rule: about 28 times the largest count
-# in use (2346, a contour at T = 640 and x = 1e5), far below counts whose
-# node arrays would exhaust memory.
+# Largest panel count of one composite rule: about 56 times the contour's
+# count at T = 640 and x = 1e5 (1173 panels of [0, T]), far below counts
+# whose node arrays would exhaust memory.
 MAX_PANELS = 1 << 16
 
 # An abscissa whose hi^c times the decay constant, or whose Gauss factor
@@ -145,9 +145,9 @@ class SmoothingKernel:
     # -- direct evaluation -------------------------------------------------
 
     def phi(self, t: float) -> float:
-        """Kernel value at t >= 0; exactly 1 below lo and 0 above hi."""
-        if t < 0:
-            raise ValueError("kernel argument must be nonnegative")
+        """Kernel value at t >= 0, inf included; exactly 1 below lo and 0 above hi."""
+        if not t >= 0:  # also refuses NaN
+            raise ValueError(f"kernel argument must be nonnegative, got {t!r}")
         return float(self.phi_many(t))
 
     def phi_many(self, t: np.ndarray) -> np.ndarray:
@@ -250,10 +250,11 @@ class SmoothingKernel:
         absolute.  A node is v = mid_p + xi_i (the panel_grid layout), so
         with s_k = c + i ts[k] the exponential
         e^(vs) = e^(s_k mid_p) * e^(s_k xi_i) * e^(i offsets[j] v)
-        separates: each row costs n + 24 complex exponentials, the offsets
-        n + 24 each once (none for offsets=(0.0,), where each is e^0 = 1),
-        and the sum over xi_i is a matrix product with 24 rows.  The rows
-        are walked in blocks of about _BLOCK terms.  An abscissa c whose
+        separates: the last factor joins the coefficients w_i phi(e^v) once
+        per call (flat ordinates, offsets=(0.0,), get them times e^0 = 1),
+        each row costs n + 24 complex exponentials, and the sum over xi_i is
+        one matrix product with 24 rows for all offsets.  The rows are
+        walked in blocks of about _BLOCK terms.  An abscissa c whose
         e^(c xi_i) would overflow, c times the half-panel past the float
         range, is refused with a ValueError before any exponential.
         """
@@ -271,24 +272,22 @@ class SmoothingKernel:
                 f"hi={self.hi:g}): c times the half-panel {half:.4g} exceeds {_LOG_FLOAT_MAX:.4g}"
             )
         _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
-        # coeff[i, p] = w_i * phi(e^(mid_p + xi_i))
-        coeff = wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))
-        spin = not (offsets.size == 1 and offsets[0] == 0.0)
-        if spin:
-            spin_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
-            spin_xi = np.exp(1j * np.multiply.outer(offsets, xi))  # (offset, xi)
+        v = mid[None, :] + xi[:, None]  # (xi, panel)
+        weight = (wi[:, None] * self.phi_many(np.exp(v)))[:, None, :]
+        turn_xi = np.exp(1j * np.multiply.outer(xi, offsets))[:, :, None]  # (xi, offset, 1)
+        turn_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
+        # coeff[i, (j, p)] = w_i * phi(e^v) * e^(i offsets[j] v), formed in place
+        coeff = weight * turn_xi
+        coeff *= turn_mid
+        coeff = coeff.reshape(xi.size, -1)
         out = np.empty((ts.size, offsets.size), dtype=complex)
         step = max(1, _BLOCK // (offsets.size * (mid.size + xi.size)))
         for k in range(0, ts.size, step):
             rows = ts[k : k + step]
             s = c + 1j * np.add.outer(rows, offsets)
             sk = c + 1j * rows
-            row_xi = np.exp(np.multiply.outer(sk, xi))[:, None, :]
-            if spin:
-                row_xi = row_xi * spin_xi
-            inner = (row_xi.reshape(-1, xi.size) @ coeff).reshape(rows.size, offsets.size, mid.size)
-            if spin:
-                inner *= spin_mid  # (row, offset, panel)
+            inner = np.exp(np.multiply.outer(sk, xi)) @ coeff
+            inner = inner.reshape(rows.size, offsets.size, mid.size)  # (row, offset, panel)
             # exp times inner, in this operand order, so that flat ordinates
             # get the values of a one-axis engine bit for bit
             np.multiply(np.exp(np.multiply.outer(sk, mid))[:, None, :], inner, out=inner)

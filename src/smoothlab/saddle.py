@@ -7,6 +7,7 @@ log x; with a modulus given, primes dividing it are dropped from the sum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,14 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
 
     The bracket (1e-6, 2] always contains the root for float-representable
     x >= y >= 2; the recorded residual is |sum - log x| at the returned point.
-    A modulus q, when given, must be >= 1.
+    A modulus q, when given, must be an integer >= 1.
     """
     if not 2 <= y < math.inf:
         raise ValueError("need finite y >= 2")
     if not y <= x < math.inf:
         raise ValueError("need finite x >= y")
+    if q is not None and (not isinstance(q, numbers.Integral) or isinstance(q, bool)):
+        raise ValueError(f"modulus q must be an integer, got {q!r}")
     if q is not None and q < 1:
         raise ValueError("modulus q must be >= 1")
     plist = [p for p in primes_upto(y) if q is None or q % p != 0]

@@ -1,7 +1,8 @@
 """Exact counting of y-smooth integers.
 
-Counts are produced by recursive product generation over the primes up to y
-(never a sieve array), so memory is proportional to the output.  A separate
+Counts come from an enumeration built prime by prime: starting from [1],
+each prime p <= y replaces the list by its values times p^0, p^1, ... up to
+x (never a sieve array), so memory is proportional to the output.  A separate
 lattice path handles astronomically large x for small y, and an Ennola-type
 closed form provides the matching first-order estimate.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,6 +59,8 @@ class SmoothCountQuery:
     def __post_init__(self) -> None:
         if not 2 <= self.y < math.inf:
             raise ValueError("smoothness bound y must be finite and >= 2")
+        if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool):
+            raise ValueError(f"modulus q must be an integer, got {self.q!r}")
         if self.q < 1:
             raise ValueError("modulus q must be >= 1")
         if self.q > np.iinfo(np.int64).max:
@@ -94,9 +98,12 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     """All y-smooth n <= limit built from primes not dividing q, including 1,
     as an int64 array in generation order.
 
-    A modulus q below 1 or a NaN limit raises ValueError, and a limit above
-    MAX_ENUMERATION ThresholdExceededError, before anything is built.
+    A modulus q that is not an integer >= 1, or a NaN limit, raises
+    ValueError, and a limit above MAX_ENUMERATION ThresholdExceededError,
+    before anything is built.
     """
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+        raise ValueError(f"modulus q must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("modulus q must be >= 1")
     if math.isnan(limit):
@@ -194,6 +201,8 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
     if not 2 <= y < math.inf:
         raise ValueError("smoothness bound y must be finite and >= 2")
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+        raise ValueError(f"modulus q must be an integer, got {q!r}")
     if q < 1:
         raise ValueError("modulus q must be >= 1")
     try:

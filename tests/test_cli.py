@@ -196,7 +196,7 @@ def test_lfun_argument_errors(capsys):
         ),
         (
             ["contour", "--x", "1e5", "--y", "10", "--q", "5", "--chi", "1", "--T", "1e12"],
-            "panel count 3664677994398 outside [1, 65536]",
+            "panel count 1832338997199 outside [1, 65536]",
         ),
         (["saddle", "1e13", "1e13"], "prime bound 1e+13 exceeds the sieve bound 1e+08"),
         (

@@ -73,15 +73,16 @@ def test_contour_range_checked_with_explicit_abscissa(x, y, message):
 
 
 def _panel_count(x, T):
-    """The panels of [-T, T] that contour_psi uses: each at most min(1, 2pi/log x) wide."""
-    return math.ceil(2 * T / min(1.0, 2 * math.pi / math.log(x)))
+    """The panels of [0, T] that contour_psi uses: each at most min(1, 2pi/log x) wide."""
+    return max(4, math.ceil(T / min(1.0, 2 * math.pi / math.log(x))))
 
 
 def _node_by_node(x, chi, y, c, T, order, n_panels):
-    """The contour sum of one rule on n_panels panels of [-T, T], with the
-    Euler product formed at each node."""
-    _, mid, offsets, weights = panel_grid(-T, T, n_panels, (order,))
-    nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
+    """The contour sum of one rule on n_panels panels of [0, T] and their
+    mirrors in [-T, 0], with the Euler product formed at each node."""
+    _, mid, offsets, weights = panel_grid(0.0, T, n_panels, (order,))
+    half = np.add.outer(mid, offsets).ravel()
+    nodes, weights = np.concatenate([half, -half]), np.tile(weights, 2 * n_panels)
     ps = np.array([p for p in primes_upto(y) if chi(p) != 0], dtype=float)
     cs = np.array([chi(int(p)) for p in ps])
     s = c + 1j * nodes
@@ -92,11 +93,11 @@ def _node_by_node(x, chi, y, c, T, order, n_panels):
 
 @pytest.mark.parametrize("x,y,q", [(1e3, 10.0, 3), (1e4, 30.0, 7), (1e5, 100.0, 12)])
 def test_matches_node_by_node_products(x, y, q):
-    # the half grid keeps the middle panel of an odd count at half weight:
-    # the cases cover an odd count (x = 1e5: 587 panels) and an even one (x = 1e3: 352)
+    # the half grid is the panels of [0, T], an odd count (x = 1e4: 235) or
+    # an even one (x = 1e3: 176), each mirrored into [-T, 0] by conjugation
     n_panels = _panel_count(x, 160.0)
-    assert n_panels == {1e3: 352, 1e4: 470, 1e5: 587}[x]
-    assert len(_cell(KERNEL, x, y, q, ContourSpec(T=160.0))[1]) == (n_panels + 1) // 2
+    assert n_panels == {1e3: 176, 1e4: 235, 1e5: 294}[x]
+    assert len(_cell(KERNEL, x, y, q, ContourSpec(T=160.0))[1]) == n_panels
     c = saddle_alpha(x, y).alpha
     for chi in character_group(q):
         got = contour_psi(x, chi, y, KERNEL, ContourSpec(T=160.0))

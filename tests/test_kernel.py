@@ -24,6 +24,7 @@ def test_plateau_and_support():
     assert KERNEL.phi(0.5) == 1.0
     assert KERNEL.phi(2.0) == 0.0
     assert KERNEL.phi(2.5) == 0.0
+    assert KERNEL.phi(float("inf")) == 0.0
 
 
 def test_midpoint_is_exactly_half():
@@ -141,7 +142,8 @@ def test_mellin_many_batch_matches_scalar(kernel):
 
 
 def _contour_grid(T):
-    # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
+    # panel midpoints of [-T, T] at the contour's width for x = 1e5 and order-16
+    # and order-8 offsets: ordinates of both signs, twice the contour's half grid
     n_panels = math.ceil(2 * T / (2 * math.pi / math.log(1e5)))
     _, mid, offsets, _ = panel_grid(-T, T, n_panels, (16, 8))
     return mid, offsets

@@ -204,7 +204,8 @@ def test_grid_of_empty_support_is_ones():
 
 
 def _contour_grid(T):
-    # the panel midpoints and order-16 and order-8 offsets contour_psi uses at x = 1e5
+    # panel midpoints of [-T, T] at the contour's width for x = 1e5 and order-16
+    # and order-8 offsets: ordinates of both signs, twice the contour's half grid
     n_panels = math.ceil(2 * T / (2 * math.pi / math.log(1e5)))
     _, mid, offsets, _ = panel_grid(-T, T, n_panels, (16, 8))
     return mid, offsets

@@ -1,24 +1,33 @@
 """Input refusals of the public entry points that no other test reaches."""
 
+import math
+
 import numpy as np
 import pytest
 
 from smoothlab import (
     ExperimentConfig,
     SmoothCountQuery,
+    SmoothingKernel,
     character_group,
     check_calculus,
     check_majorant,
+    check_pointwise_product,
     count_smooth_bigx,
+    ennola_estimate,
     export_results,
     is_smooth,
     pointwise_product_chain,
     power_subgroup,
+    principal_character,
     run_suite,
+    saddle_alpha,
+    smooth_values,
 )
 
 ONE = np.ones(1)
 NAN = np.full(1, np.nan)
+NOT_INTEGER = "modulus q must be an integer, got"
 
 
 @pytest.mark.parametrize(
@@ -52,6 +61,25 @@ NAN = np.full(1, np.nan)
             lambda tmp: character_group(5)[1] * character_group(7)[1],
             "can only multiply characters to the same modulus",
         ),
+        (lambda tmp: SmoothCountQuery(100, 10, 3.5), f"{NOT_INTEGER} 3.5"),
+        (lambda tmp: SmoothCountQuery(100, 10, 3.5, 1), f"{NOT_INTEGER} 3.5"),
+        (lambda tmp: SmoothCountQuery(100, 10, True), f"{NOT_INTEGER} True"),
+        (lambda tmp: smooth_values(100, 10, 2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: count_smooth_bigx((2, 10), 3.0, 2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: ennola_estimate((2, 100), 3.0, 2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: saddle_alpha(100, 10, 2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: power_subgroup(7.5, 2), f"{NOT_INTEGER} 7.5"),
+        # the group of 7 (of 1) is built first, so a cached entry cannot answer 7.0 (True)
+        (lambda tmp: [character_group(q) for q in (7, 7.0)], "modulus must be a positive integer"),
+        (lambda tmp: [character_group(q) for q in (1, True)], "modulus must be a positive integer"),
+        (lambda tmp: principal_character(7.0), "modulus must be a positive integer"),
+        (lambda tmp: SmoothingKernel().phi(math.nan), "kernel argument must be nonnegative"),
+        (lambda tmp: pointwise_product_chain(2, math.nan, 0.0, 1.0), "chi_p must be finite"),
+        (lambda tmp: pointwise_product_chain(2, 1.0, math.inf, 1.0), "t must be finite"),
+        (lambda tmp: pointwise_product_chain(2, 1.0, 0.0, math.nan), "alpha must be finite"),
+        (lambda tmp: check_pointwise_product(2, math.nan, 1.0, 1.0), "chi_p must be finite"),
+        (lambda tmp: check_pointwise_product(2, 1.0, math.inf, 1.0), "t must be finite"),
+        (lambda tmp: check_pointwise_product(2, 1.0, 1.0, math.nan), "alpha must be finite"),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -60,6 +88,11 @@ NAN = np.full(1, np.nan)
         "majorant_lambdas_nan", "majorant_a_nan", "majorant_big_a_nan", "calculus_t_nan",
         "chain_p_1", "chain_alpha_0", "suite_unknown", "suite_seed_base_negative",
         "character_group_0", "characters_of_two_moduli",
+        "query_q_3.5", "query_q_3.5_residue_1", "query_q_true", "smooth_values_q_2.5",
+        "bigx_q_2.5", "ennola_q_2.5", "saddle_q_2.5", "power_subgroup_q_7.5",
+        "character_group_7.0", "character_group_true", "principal_character_7.0", "phi_nan",
+        "chain_chi_p_nan", "chain_t_inf", "chain_alpha_nan",
+        "pointwise_chi_p_nan", "pointwise_t_inf", "pointwise_alpha_nan",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):

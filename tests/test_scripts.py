@@ -1,6 +1,8 @@
 """The scripts run end to end at small sizes."""
 
+import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from smoothlab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,3 +81,16 @@ print(json.dumps([big, small]))
     # each digest is of that child's stdout alone
     assert big["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
     assert small["stdout_sha256"] == hashlib.sha256(b"smooth\n").hexdigest()
+
+
+def test_entry_point_timer_runs_every_subcommand():
+    # a subcommand added to the CLI without a row in the timer's table would
+    # go untimed; every row must also parse
+    path = ROOT / "scripts" / "time_entry_points.py"
+    spec = importlib.util.spec_from_file_location("time_entry_points", path)
+    timer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timer)
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    timed = {parser.parse_args(args).command for args in timer.CLI.values()}
+    assert timed == set(sub.choices)
