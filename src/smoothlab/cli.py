@@ -53,7 +53,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         result = count_smooth(query)
     value = result.value
     if args.json:
-        payload = {"x": args.x, "y": args.y, "q": args.q, "a": args.a, "exact": True}
+        # a weighted count is a float sum of phi(n / x), an unweighted one an integer
+        payload = {"x": args.x, "y": args.y, "q": args.q, "a": args.a, "exact": not args.weighted}
         print(_dump({**payload, "value": value}))
     else:
         print(f"count(x={args.x:g}, y={args.y:g}, q={args.q}, a={args.a}) = {value}")

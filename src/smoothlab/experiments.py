@@ -11,9 +11,10 @@ import itertools
 import json
 import math
 import numbers
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from os import PathLike
 from pathlib import Path
@@ -84,7 +85,7 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
     x: float
     y: float
@@ -102,7 +103,7 @@ class ResultRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnsmoothingRecord:
     x: float
     y: float
@@ -111,20 +112,50 @@ class UnsmoothingRecord:
     ratio: float
 
 
+@lru_cache(maxsize=8)
+def _point_summary(
+    x: float, y: float, q: int, epsilons: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+    """Read-only (residues, counts, total, kept) from one enumeration of the
+    y-smooth n <= x coprime to q: the sorted residues mod q that occur, the
+    class count of each, the total, and per epsilon the count of n at or
+    below floor((1 - eps) x).
+
+    Only counts are kept, and only for the residues that occur, so an entry
+    never grows with q; the three experiment modes at a point share it.
+    """
+    values = smooth_values(x, y, q)
+    bins = np.bincount(values % q, minlength=q)
+    residues = np.flatnonzero(bins)
+    counts = bins[residues]
+    residues.setflags(write=False)
+    counts.setflags(write=False)
+    thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
+    # each value's slot among the sorted thresholds: a value counts toward
+    # every threshold from its slot on, so the running sum is the kept count
+    edges = np.sort(thresholds)
+    slots = np.searchsorted(edges, values, side="left")
+    below = np.cumsum(np.bincount(slots, minlength=edges.size + 1))
+    kept = below[np.searchsorted(edges, thresholds, side="left")]
+    return residues, counts, values.size, tuple(kept.tolist())
+
+
 def _class_grid(config: ExperimentConfig):
-    """Per grid point: q, the class counts indexed by residue, the total (>= 1,
-    since n = 1 is always counted), the units mod q, and a ResultRecord builder
-    carrying the point, the equidistributed share and the saddle frame."""
+    """Per grid point: q, the class counts by residue (0 for a class with no
+    smooth n), the total (>= 1, since n = 1 is always counted), the units
+    mod q, and a ResultRecord builder carrying the point, the equidistributed
+    share and the saddle frame."""
     for x, y, q in itertools.product(config.xs, config.ys, config.qs):
-        values = smooth_values(x, y, q)
+        residues, counts, total, _ = _point_summary(x, y, q, tuple(config.epsilons))
         units = [a for a in range(q) if gcd(a, q) == 1]
         sp = saddle_alpha(x, y)
         v = math.log(x) / math.log(q)
         record = partial(
-            ResultRecord, x=x, y=y, q=q, expected=values.size / len(units),
+            ResultRecord, x=x, y=y, q=q, expected=total / len(units),
             u=sp.u, v=v, w=min(v, y), alpha=sp.alpha,
         )
-        yield q, np.bincount(values % q, minlength=q).tolist(), values.size, units, record
+        by_residue = defaultdict(int, zip(residues.tolist(), counts.tolist()))
+        yield q, by_residue, total, units, record
 
 
 def run_equidistribution(config: ExperimentConfig) -> list[ResultRecord]:
@@ -185,11 +216,8 @@ def run_coset(config: ExperimentConfig) -> list[ResultRecord]:
 
 
 def _unsmoothing_ratios(x: float, y: float, q: int, epsilons: tuple[float, ...]) -> list[float]:
-    """unsmoothing_ratio at every epsilon in [0, 1], from one enumeration up to x."""
-    values = np.sort(smooth_values(x, y, q))
-    total = values.size
-    thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
-    kept = np.searchsorted(values, thresholds, side="right").tolist()
+    """unsmoothing_ratio at every epsilon in [0, 1], read from the point summary."""
+    _, _, total, kept = _point_summary(x, y, q, epsilons)
     return [(total - k) / total for k in kept]
 
 
@@ -209,7 +237,7 @@ def run_unsmoothing(config: ExperimentConfig) -> list[UnsmoothingRecord]:
     return [
         UnsmoothingRecord(x=x, y=y, q=q, epsilon=eps, ratio=ratio)
         for x, y, q in itertools.product(config.xs, config.ys, config.qs)
-        for eps, ratio in zip(config.epsilons, _unsmoothing_ratios(x, y, q, config.epsilons))
+        for eps, ratio in zip(config.epsilons, _unsmoothing_ratios(x, y, q, tuple(config.epsilons)))
     ]
 
 

@@ -25,7 +25,7 @@ MAX_MAJORANT_TERMS = 30
 MAX_EULER_Y = 60.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     """One verified instance: lhs <= rhs up to the fixed tolerance policy.
 

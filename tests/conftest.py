@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 from math import gcd
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
 
@@ -13,6 +15,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the checkout's src/ first on PYTHONPATH, so a
+    child interpreter imports the smoothlab under test."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def naive_is_smooth(n: int, y: float) -> bool:

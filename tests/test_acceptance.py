@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from conftest import src_env
 from smoothlab import (
     ContourSpec,
     ExperimentConfig,
@@ -260,7 +261,8 @@ def test_criterion_9_oscillating_integral():
 def test_criterion_10_cli_determinism(tmp_path):
     def run(argv):
         return subprocess.run(
-            [sys.executable, "-m", "smoothlab", *argv], capture_output=True, check=True
+            [sys.executable, "-m", "smoothlab", *argv],
+            env=src_env(), capture_output=True, check=True,
         ).stdout
 
     out_csv = tmp_path / "out.csv"

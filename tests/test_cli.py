@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from smoothlab import (
     ExperimentConfig,
     export_results,
@@ -60,8 +61,9 @@ def test_count_weighted(capsys):
     from smoothlab import SmoothingKernel
 
     code, out = _run_argv(capsys, ["count", "4", "2", "--weighted", "--json"])
-    assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(2.0 + SmoothingKernel().phi(1.0))
+    payload = json.loads(out)
+    assert code == 0 and payload["exact"] is False  # a float sum, not an integer count
+    assert payload["value"] == pytest.approx(2.0 + SmoothingKernel().phi(1.0))
 
 
 def test_saddle(capsys):
@@ -366,7 +368,7 @@ def test_verify_all_prints_each_summary_in_suite_order(capsys):
 
 def _subprocess_out(argv):
     return subprocess.run(
-        [sys.executable, "-m", "smoothlab", *argv], capture_output=True, check=True
+        [sys.executable, "-m", "smoothlab", *argv], env=src_env(), capture_output=True, check=True
     ).stdout
 
 
@@ -407,6 +409,7 @@ def test_closed_stdout_ends_quietly(argv):
     # closes, as `| head -1` does, so the next write meets a closed pipe
     proc = subprocess.Popen(
         [sys.executable, "-m", "smoothlab", *argv],
+        env=src_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         bufsize=0,

@@ -3,8 +3,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_count_smooth
@@ -22,7 +23,7 @@ from smoothlab import (
     unsmoothing_ratio,
     unsmoothing_slopes,
 )
-from smoothlab import smooth_core
+from smoothlab import experiments, smooth_core
 from smoothlab.errors import ExportError, ThresholdExceededError
 from smoothlab.experiments import CSV_COLUMNS, export_plot_data, export_unsmoothing
 
@@ -215,6 +216,70 @@ def test_every_mode_honours_the_ceiling(run, monkeypatch):
     monkeypatch.setattr(smooth_core, "primes_upto", _no_enumeration)
     with pytest.raises(ThresholdExceededError, match="exceeds the enumeration ceiling"):
         run(ExperimentConfig(xs=(2e8,), ys=(5.0,), qs=(3,)))
+
+
+RUNNERS = (run_equidistribution, run_coset, run_unsmoothing)
+
+
+def test_three_modes_share_one_enumeration_per_point(monkeypatch):
+    cfg = ExperimentConfig(xs=(300.0, 1000.0), ys=(5.0, 11.0), qs=(3, 8), epsilons=(0.0, 0.3, 1.0))
+    fresh = []
+    for run in RUNNERS:
+        experiments._point_summary.cache_clear()
+        fresh.append(run(cfg))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return smooth_core.smooth_values(*args)
+
+    monkeypatch.setattr(experiments, "smooth_values", counting)
+    experiments._point_summary.cache_clear()
+    assert [run(cfg) for run in RUNNERS] == fresh
+    assert sorted(calls) == sorted((x, y, q) for x in cfg.xs for y in cfg.ys for q in cfg.qs)
+
+
+@pytest.mark.parametrize("run", RUNNERS)
+def test_every_mode_takes_a_list_of_epsilons(run):
+    grid = {"xs": (100.0,), "ys": (5.0,), "qs": (3,)}
+    listed = run(ExperimentConfig(**grid, epsilons=[0.0, 0.1, 1.0]))
+    assert listed == run(ExperimentConfig(**grid, epsilons=(0.0, 0.1, 1.0)))
+
+
+@given(
+    x=st.floats(min_value=1.0, max_value=3000.0),
+    y=st.floats(min_value=2.0, max_value=40.0),
+    q=st.integers(min_value=1, max_value=12),
+    epsilons=st.lists(
+        st.sampled_from((0.0, 1.0)) | st.floats(min_value=0.0, max_value=1.0), max_size=8
+    ),
+)
+@example(x=1.5, y=2.0, q=1, epsilons=[1.0, 0.0, 0.0, 0.5, 1.0])
+@example(x=1000.0, y=7.0, q=6, epsilons=[0.9, 0.1, 0.5, 0.1, 0.0])
+@example(x=200.0, y=3.0, q=5, epsilons=[])
+def test_point_summary_matches_a_sorted_search(x, y, q, epsilons):
+    experiments._point_summary.cache_clear()
+    residues, counts, total, kept = experiments._point_summary(x, y, q, tuple(epsilons))
+    values = np.sort(smooth_core.smooth_values(x, y, q))
+    thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
+    assert kept == tuple(np.searchsorted(values, thresholds, side="right").tolist())
+    assert total == values.size
+    bins = np.bincount(values % q, minlength=q)
+    assert residues.tolist() == np.flatnonzero(bins).tolist()
+    assert counts.tolist() == bins[bins > 0].tolist()
+
+
+def test_cached_point_summary_cannot_be_mutated():
+    experiments._point_summary.cache_clear()
+    residues, counts, total, kept = experiments._point_summary(100.0, 5.0, 3, (0.0, 0.1))
+    assert (residues.tolist(), counts.tolist(), total, kept) == ([1, 2], [8, 7], 15, (15, 14))
+    for arr in (residues, counts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with pytest.raises(TypeError):
+        kept[0] = 0
+    residues, counts, _, _ = experiments._point_summary(100.0, 5.0, 3, (0.0, 0.1))
+    assert (residues.tolist(), counts.tolist()) == ([1, 2], [8, 7])
 
 
 def test_unsmoothing_run_and_slopes():

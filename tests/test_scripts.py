@@ -4,13 +4,13 @@ import argparse
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
 from smoothlab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,11 +32,9 @@ CASES = {
 
 
 def _run_script(script, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *CASES[script][0]],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=src_env(), capture_output=True, text=True, timeout=300,
     )
 
 
