@@ -78,8 +78,6 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
 
 
 def _cmd_lfun(args: argparse.Namespace) -> int:
-    if None in (args.s_re, args.s_im, args.q, args.chi_index, args.y):
-        raise ValueError("lfun: need s-re s-im q chi-index y")
     chars = character_group(args.q)
     if not (0 <= args.chi_index < len(chars)):
         raise ValueError(f"lfun: chi-index out of range [0, {len(chars)})")
@@ -200,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_saddle)
 
     p = sub.add_parser("lfun", help="truncated Euler products")
-    p.add_argument("s_re", type=float, nargs="?", default=None)
-    p.add_argument("s_im", type=float, nargs="?", default=None)
-    p.add_argument("q", type=int, nargs="?", default=None)
-    p.add_argument("chi_index", type=int, nargs="?", default=None)
-    p.add_argument("y", type=float, nargs="?", default=None)
+    p.add_argument("s_re", type=float)
+    p.add_argument("s_im", type=float)
+    p.add_argument("q", type=int)
+    p.add_argument("chi_index", type=int)
+    p.add_argument("y", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lfun)
 

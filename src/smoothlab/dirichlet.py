@@ -12,7 +12,6 @@ do not drift.
 from __future__ import annotations
 
 import cmath
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import ModulusTooLargeError
+from .errors import check_modulus
 
 MAX_MODULUS = 10**6
 
@@ -130,10 +129,9 @@ class _UnitGroup:
 # typed, so that q = 7.0 or True is checked and not served the entry of 7 or 1
 @lru_cache(maxsize=128, typed=True)
 def _unit_group(q: int) -> _UnitGroup:
-    if not isinstance(q, numbers.Integral) or isinstance(q, bool) or q < 1:
-        raise ValueError("modulus must be a positive integer")
+    check_modulus(q)
     if q > MAX_MODULUS:
-        raise ModulusTooLargeError(f"modulus {q} exceeds table bound {MAX_MODULUS}")
+        raise ValueError(f"modulus {q} exceeds the table bound {MAX_MODULUS}")
     comps = tuple(c for p, e in _factorize(q) if (c := _build_component(p, e)) is not None)
     return _UnitGroup(q, comps)
 

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the modulus rule.
+
+An input outside an entry's domain raises ValueError.  The package's own
+types say why a valid input has no answer: a count past its enumeration or
+lattice bound, an Euler factor near a zero, a solver that did not settle,
+or a file that could not be written.
+"""
+
+import numbers
 
 
 class SmoothLabError(Exception):
@@ -6,23 +14,7 @@ class SmoothLabError(Exception):
 
 
 class ThresholdExceededError(SmoothLabError):
-    """Requested enumeration limit lies above the exact-enumeration ceiling."""
-
-
-class InvalidResidueError(SmoothLabError):
-    """Residue class a with gcd(a, q) > 1 was requested."""
-
-
-class ModulusMismatchError(SmoothLabError):
-    """Character modulus disagrees with the query modulus."""
-
-
-class ModulusTooLargeError(SmoothLabError):
-    """Modulus exceeds the character-table construction bound."""
-
-
-class TooManyPrimesError(SmoothLabError):
-    """Huge-x lattice count requested with too many primes below y."""
+    """A count lies past the enumeration ceiling or the lattice bounds."""
 
 
 class NearPoleError(SmoothLabError):
@@ -33,9 +25,13 @@ class NoConvergenceError(SmoothLabError):
     """Iterative solver exhausted its iteration cap."""
 
 
-class MajorantHypothesisError(SmoothLabError):
-    """Coefficient sequence violates the |a_n| <= A_n hypothesis."""
-
-
 class ExportError(SmoothLabError):
     """Result export failed; message carries the offending path."""
+
+
+def check_modulus(q) -> None:
+    """Refuse a modulus q that is not an integer >= 1 (a bool is not one)."""
+    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
+        raise ValueError(f"modulus q must be an integer, got {q!r}")
+    if q < 1:
+        raise ValueError("modulus q must be >= 1")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dirichlet import MAX_MODULUS
-from .errors import ExportError
+from .errors import ExportError, check_modulus
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, smooth_values
 
@@ -130,14 +130,8 @@ def _point_summary(
     counts = bins[residues]
     residues.setflags(write=False)
     counts.setflags(write=False)
-    thresholds = [math.floor((1 - eps) * x) for eps in epsilons]
-    # each value's slot among the sorted thresholds: a value counts toward
-    # every threshold from its slot on, so the running sum is the kept count
-    edges = np.sort(thresholds)
-    slots = np.searchsorted(edges, values, side="left")
-    below = np.cumsum(np.bincount(slots, minlength=edges.size + 1))
-    kept = below[np.searchsorted(edges, thresholds, side="left")]
-    return residues, counts, values.size, tuple(kept.tolist())
+    kept = tuple(int(np.count_nonzero(values <= math.floor((1 - eps) * x))) for eps in epsilons)
+    return residues, counts, values.size, kept
 
 
 def _class_grid(config: ExperimentConfig):
@@ -184,10 +178,7 @@ def max_discrepancy(records: list[ResultRecord]) -> dict[tuple[float, float, int
 
 def power_subgroup(q: int, exponent: int) -> list[int]:
     """The subgroup of exponent-th powers in (Z/qZ)*, a surrogate coset structure."""
-    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
-        raise ValueError(f"modulus q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("modulus q must be >= 1")
+    check_modulus(q)
     units = [a for a in range(q) if gcd(a, q) == 1]
     return sorted({pow(a, exponent, q) for a in units})
 

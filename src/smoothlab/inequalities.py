@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MajorantHypothesisError, NoConvergenceError
+from .errors import NoConvergenceError
 from .kernel import SmoothingKernel, panel_grid
 from .lseries import _factor_matrices
 from .primes import primes_upto
@@ -255,9 +255,9 @@ def check_majorant(
     if T <= 0:
         raise ValueError("need T > 0")
     if np.any(big_a < 0):
-        raise MajorantHypothesisError("majorant coefficients must be nonnegative")
+        raise ValueError("majorant coefficients must be nonnegative")
     if np.any(np.abs(a) > big_a * (1 + 1e-12)):
-        raise MajorantHypothesisError("|a_n| <= A_n violated")
+        raise ValueError("|a_n| <= A_n violated")
     lhs = mean_square_trig(lambdas, a, T)
     rhs = 3.0 * mean_square_trig(lambdas, big_a.astype(complex), T)
     return _report(lhs, rhs, seed, "majorant")

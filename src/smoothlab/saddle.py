@@ -7,12 +7,11 @@ log x; with a modulus given, primes dividing it are dropped from the sum.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, check_modulus
 from .primes import primes_upto
 
 NEWTON_CAP = 200
@@ -39,13 +38,11 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
     A modulus q, when given, must be an integer >= 1.
     """
     if not 2 <= y < math.inf:
-        raise ValueError("need finite y >= 2")
+        raise ValueError("smoothness bound y must be finite and >= 2")
     if not y <= x < math.inf:
         raise ValueError("need finite x >= y")
-    if q is not None and (not isinstance(q, numbers.Integral) or isinstance(q, bool)):
-        raise ValueError(f"modulus q must be an integer, got {q!r}")
-    if q is not None and q < 1:
-        raise ValueError("modulus q must be >= 1")
+    if q is not None:
+        check_modulus(q)
     plist = [p for p in primes_upto(y) if q is None or q % p != 0]
     if not plist:
         raise NoConvergenceError(

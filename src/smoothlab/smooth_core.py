@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,12 +19,7 @@ from math import gcd
 import numpy as np
 
 from .dirichlet import DirichletCharacter
-from .errors import (
-    InvalidResidueError,
-    ModulusMismatchError,
-    ThresholdExceededError,
-    TooManyPrimesError,
-)
+from .errors import ThresholdExceededError, check_modulus
 from .kernel import SmoothingKernel
 from .primes import primes_upto
 
@@ -59,10 +53,7 @@ class SmoothCountQuery:
     def __post_init__(self) -> None:
         if not 2 <= self.y < math.inf:
             raise ValueError("smoothness bound y must be finite and >= 2")
-        if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool):
-            raise ValueError(f"modulus q must be an integer, got {self.q!r}")
-        if self.q < 1:
-            raise ValueError("modulus q must be >= 1")
+        check_modulus(self.q)
         if self.q > np.iinfo(np.int64).max:
             raise ValueError(f"modulus q={self.q} exceeds the int64 bound 2^63 - 1")
         if self.x is None or not 1 <= self.x < math.inf:
@@ -71,7 +62,7 @@ class SmoothCountQuery:
             if not (0 <= self.a < self.q):
                 raise ValueError("residue a must lie in [0, q)")
             if gcd(self.a, self.q) != 1:
-                raise InvalidResidueError(f"gcd({self.a}, {self.q}) > 1")
+                raise ValueError(f"gcd({self.a}, {self.q}) > 1")
 
 
 @dataclass(frozen=True)
@@ -102,10 +93,7 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     ValueError, and a limit above MAX_ENUMERATION ThresholdExceededError,
     before anything is built.
     """
-    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
-        raise ValueError(f"modulus q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("modulus q must be >= 1")
+    check_modulus(q)
     if math.isnan(limit):
         raise ValueError("enumeration limit must not be NaN")
     if limit > MAX_ENUMERATION:
@@ -155,9 +143,7 @@ def count_smooth_weighted(
     """
     if chi is not None:
         if chi.modulus != query.q:
-            raise ModulusMismatchError(
-                f"character modulus {chi.modulus} != query modulus {query.q}"
-            )
+            raise ValueError(f"character modulus {chi.modulus} != query modulus {query.q}")
         if query.a is not None:
             raise ValueError("give either a character or a residue class, not both")
     residues, sums = _class_weights(query.x, query.y, query.q, kernel)
@@ -201,10 +187,7 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
     if not 2 <= y < math.inf:
         raise ValueError("smoothness bound y must be finite and >= 2")
-    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
-        raise ValueError(f"modulus q must be an integer, got {q!r}")
-    if q < 1:
-        raise ValueError("modulus q must be >= 1")
+    check_modulus(q)
     try:
         budget = exponent * math.log(base)
     except OverflowError:
@@ -243,7 +226,7 @@ def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCoun
     base, exponent = bigx
     plist, budget = _lattice_primes(bigx, y, q)
     if len(plist) > MAX_LATTICE_PRIMES:
-        raise TooManyPrimesError(
+        raise ThresholdExceededError(
             f"{len(plist)} primes <= {y} exceed the lattice bound {MAX_LATTICE_PRIMES}"
         )
     if not plist:

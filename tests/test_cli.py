@@ -144,7 +144,13 @@ def test_list_chars_golden(capsys):
 
 
 def test_lfun_argument_errors(capsys):
-    assert main(["lfun", "2", "0"]) == 2
+    # a missing positional is argparse's refusal, as in count and saddle
+    with pytest.raises(SystemExit) as exc:
+        main(["lfun", "2", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: smoothlab lfun")
+    assert "the following arguments are required: q, chi_index, y" in err
     assert main(["lfun", "2", "0", "5", "9", "3"]) == 2
     capsys.readouterr()
 
@@ -170,7 +176,6 @@ def test_lfun_argument_errors(capsys):
             ["experiment", "--config", {"xs": [100.0], "ys": [5.0], "qs": [1000000007]}],
             "modulus 1000000007 exceeds the table bound 1000000",
         ),
-        (["lfun", "2", "0"], "lfun: need s-re s-im q chi-index y"),
         (["lfun", "2", "0", "5", "9", "3"], "lfun: chi-index out of range [0, 4)"),
         (
             ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "9", "--T", "80"],
@@ -237,7 +242,7 @@ def test_lfun_argument_errors(capsys):
         "count_q_above_int64", "count_weighted_q_above_int64",
         "saddle_negative_coprime_q", "saddle_zero_coprime_q", "missing_config",
         "experiment_q_above_table_bound",
-        "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
+        "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
         "contour_abscissa_overflows", "contour_abscissa_overflows_hi",

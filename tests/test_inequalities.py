@@ -21,7 +21,7 @@ from smoothlab import (
     pointwise_product_chain,
     run_suite,
 )
-from smoothlab.errors import MajorantHypothesisError, NoConvergenceError
+from smoothlab.errors import NoConvergenceError
 from smoothlab.inequalities import _draw_euler_instance, _segment_quantities, mean_square_trig
 from smoothlab.kernel import panel_grid
 from smoothlab.lseries import _factor_matrices
@@ -146,9 +146,9 @@ def test_mean_square_matches_quadrature_oracle():
 
 
 def test_majorant_hypothesis_violation():
-    with pytest.raises(MajorantHypothesisError):
+    with pytest.raises(ValueError, match=r"\|a_n\| <= A_n violated"):
         check_majorant(2, np.array([0.0, 1.0]), np.array([1.5, 0.2]), np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(MajorantHypothesisError):
+    with pytest.raises(ValueError, match="majorant coefficients must be nonnegative"):
         check_majorant(1, np.array([0.0]), np.array([0.0]), np.array([-1.0]), 1.0)
 
 

@@ -28,6 +28,7 @@ from smoothlab import (
 ONE = np.ones(1)
 NAN = np.full(1, np.nan)
 NOT_INTEGER = "modulus q must be an integer, got"
+BELOW_ONE = "modulus q must be >= 1"
 
 
 @pytest.mark.parametrize(
@@ -39,8 +40,8 @@ NOT_INTEGER = "modulus q must be an integer, got"
         (lambda tmp: count_smooth_bigx((2, 0), 3.0), "bigx needs base >= 2 and exponent >= 1"),
         (lambda tmp: ExperimentConfig(xs=(), ys=(5.0,), qs=(3,)), "xs, ys, qs must be nonempty"),
         (lambda tmp: export_results([], "xml", tmp / "out"), "format must be 'csv' or 'json'"),
-        (lambda tmp: power_subgroup(0, 2), "modulus q must be >= 1"),
-        (lambda tmp: power_subgroup(-5, 2), "modulus q must be >= 1"),
+        (lambda tmp: power_subgroup(0, 2), BELOW_ONE),
+        (lambda tmp: power_subgroup(-5, 2), BELOW_ONE),
         (lambda tmp: check_majorant(0, ONE, ONE, ONE, 1.0), "need 1 <= n <= "),
         (
             lambda tmp: check_majorant(1, np.ones(2), ONE, ONE, 1.0),
@@ -56,7 +57,7 @@ NOT_INTEGER = "modulus q must be an integer, got"
         (lambda tmp: pointwise_product_chain(2, 1.0, 0.0, 0.0), "need alpha > 0"),
         (lambda tmp: run_suite("nope", 1), "suite must be one of"),
         (lambda tmp: run_suite("calculus", 1, seed_base=-5), "seed base must be >= 0, got -5"),
-        (lambda tmp: character_group(0), "modulus must be a positive integer"),
+        (lambda tmp: character_group(0), BELOW_ONE),
         (
             lambda tmp: character_group(5)[1] * character_group(7)[1],
             "can only multiply characters to the same modulus",
@@ -70,9 +71,9 @@ NOT_INTEGER = "modulus q must be an integer, got"
         (lambda tmp: saddle_alpha(100, 10, 2.5), f"{NOT_INTEGER} 2.5"),
         (lambda tmp: power_subgroup(7.5, 2), f"{NOT_INTEGER} 7.5"),
         # the group of 7 (of 1) is built first, so a cached entry cannot answer 7.0 (True)
-        (lambda tmp: [character_group(q) for q in (7, 7.0)], "modulus must be a positive integer"),
-        (lambda tmp: [character_group(q) for q in (1, True)], "modulus must be a positive integer"),
-        (lambda tmp: principal_character(7.0), "modulus must be a positive integer"),
+        (lambda tmp: [character_group(q) for q in (7, 7.0)], f"{NOT_INTEGER} 7.0"),
+        (lambda tmp: [character_group(q) for q in (1, True)], f"{NOT_INTEGER} True"),
+        (lambda tmp: principal_character(7.0), f"{NOT_INTEGER} 7.0"),
         (lambda tmp: SmoothingKernel().phi(math.nan), "kernel argument must be nonnegative"),
         (lambda tmp: pointwise_product_chain(2, math.nan, 0.0, 1.0), "chi_p must be finite"),
         (lambda tmp: pointwise_product_chain(2, 1.0, math.inf, 1.0), "t must be finite"),
@@ -80,6 +81,31 @@ NOT_INTEGER = "modulus q must be an integer, got"
         (lambda tmp: check_pointwise_product(2, math.nan, 1.0, 1.0), "chi_p must be finite"),
         (lambda tmp: check_pointwise_product(2, 1.0, math.inf, 1.0), "t must be finite"),
         (lambda tmp: check_pointwise_product(2, 1.0, 1.0, math.nan), "alpha must be finite"),
+        # every entry that takes a modulus refuses q in {0, -3, 2.5, True}
+        (lambda tmp: SmoothCountQuery(100, 10, 0), BELOW_ONE),
+        (lambda tmp: SmoothCountQuery(100, 10, -3), BELOW_ONE),
+        (lambda tmp: SmoothCountQuery(100, 10, 2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: smooth_values(100, 10, 0), BELOW_ONE),
+        (lambda tmp: smooth_values(100, 10, -3), BELOW_ONE),
+        (lambda tmp: smooth_values(100, 10, True), f"{NOT_INTEGER} True"),
+        (lambda tmp: count_smooth_bigx((2, 10), 3.0, 0), BELOW_ONE),
+        (lambda tmp: count_smooth_bigx((2, 10), 3.0, -3), BELOW_ONE),
+        (lambda tmp: count_smooth_bigx((2, 10), 3.0, True), f"{NOT_INTEGER} True"),
+        (lambda tmp: ennola_estimate((2, 100), 3.0, 0), BELOW_ONE),
+        (lambda tmp: ennola_estimate((2, 100), 3.0, -3), BELOW_ONE),
+        (lambda tmp: ennola_estimate((2, 100), 3.0, True), f"{NOT_INTEGER} True"),
+        (lambda tmp: saddle_alpha(100, 10, 0), BELOW_ONE),
+        (lambda tmp: saddle_alpha(100, 10, -3), BELOW_ONE),
+        (lambda tmp: saddle_alpha(100, 10, True), f"{NOT_INTEGER} True"),
+        (lambda tmp: power_subgroup(-3, 2), BELOW_ONE),
+        (lambda tmp: power_subgroup(2.5, 2), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: power_subgroup(True, 2), f"{NOT_INTEGER} True"),
+        (lambda tmp: character_group(-3), BELOW_ONE),
+        (lambda tmp: character_group(2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: principal_character(0), BELOW_ONE),
+        (lambda tmp: principal_character(-3), BELOW_ONE),
+        (lambda tmp: principal_character(2.5), f"{NOT_INTEGER} 2.5"),
+        (lambda tmp: principal_character(True), f"{NOT_INTEGER} True"),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -93,6 +119,15 @@ NOT_INTEGER = "modulus q must be an integer, got"
         "character_group_7.0", "character_group_true", "principal_character_7.0", "phi_nan",
         "chain_chi_p_nan", "chain_t_inf", "chain_alpha_nan",
         "pointwise_chi_p_nan", "pointwise_t_inf", "pointwise_alpha_nan",
+        "query_q_0", "query_q_minus_3", "query_q_2.5",
+        "smooth_values_q_0", "smooth_values_q_minus_3", "smooth_values_q_true",
+        "bigx_q_0", "bigx_q_minus_3", "bigx_q_true",
+        "ennola_q_0", "ennola_q_minus_3", "ennola_q_true",
+        "saddle_q_0", "saddle_q_minus_3", "saddle_q_true",
+        "power_subgroup_q_minus_3", "power_subgroup_q_2.5", "power_subgroup_q_true",
+        "character_group_minus_3", "character_group_2.5",
+        "principal_character_0", "principal_character_minus_3",
+        "principal_character_2.5", "principal_character_true",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):
