@@ -176,6 +176,11 @@ def test_lfun_argument_errors(capsys):
             ["experiment", "--config", {"xs": [100.0], "ys": [5.0], "qs": [1000000007]}],
             "modulus 1000000007 exceeds the table bound 1000000",
         ),
+        (
+            ["lfun", "2", "0"],
+            "usage: smoothlab lfun [-h] [--json] s_re s_im q chi_index y\n"
+            "smoothlab lfun: error: the following arguments are required: q, chi_index, y",
+        ),
         (["lfun", "2", "0", "5", "9", "3"], "lfun: chi-index out of range [0, 4)"),
         (
             ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "9", "--T", "80"],
@@ -242,7 +247,7 @@ def test_lfun_argument_errors(capsys):
         "count_q_above_int64", "count_weighted_q_above_int64",
         "saddle_negative_coprime_q", "saddle_zero_coprime_q", "missing_config",
         "experiment_q_above_table_bound",
-        "lfun_chi_out_of_range", "contour_chi_out_of_range",
+        "lfun_missing_positionals", "lfun_chi_out_of_range", "contour_chi_out_of_range",
         "lfun_infinite_y", "lfun_nan_y",
         "contour_infinite_x", "contour_nan_x", "contour_zero_x", "contour_negative_x",
         "contour_abscissa_overflows", "contour_abscissa_overflows_hi",
@@ -259,6 +264,15 @@ def test_errors_are_one_line_with_status_2(capsys, tmp_path, argv, message):
         if isinstance(arg, dict):  # a dict stands for a config file holding it
             config.write_text(json.dumps(arg))
     argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+    if message.startswith("usage: "):
+        # argparse refuses a missing positional itself: its usage line, then one error line
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        return
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
