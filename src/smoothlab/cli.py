@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from .contour import ContourSpec, contour_psi
-from .dirichlet import character_group
+from .dirichlet import DirichletCharacter, character_group
 from .errors import SmoothLabError
 from .experiments import (
     COSET_POWER,
@@ -37,6 +37,14 @@ from .smooth_core import SmoothCountQuery, count_smooth, count_smooth_weighted
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
+
+
+def _character(q: int, index: int) -> DirichletCharacter:
+    """Character number index of character_group(q), or a ValueError."""
+    chars = character_group(q)
+    if not 0 <= index < len(chars):
+        raise ValueError(f"character index {index} out of range [0, {len(chars)})")
+    return chars[index]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -78,10 +86,8 @@ def _cmd_saddle(args: argparse.Namespace) -> int:
 
 
 def _cmd_lfun(args: argparse.Namespace) -> int:
-    chars = character_group(args.q)
-    if not (0 <= args.chi_index < len(chars)):
-        raise ValueError(f"lfun: chi-index out of range [0, {len(chars)})")
-    val = euler_product(complex(args.s_re, args.s_im), chars[args.chi_index], args.y)
+    chi = _character(args.q, args.chi_index)
+    val = euler_product(complex(args.s_re, args.s_im), chi, args.y)
     payload = {
         "value_re": val.value.real,
         "value_im": val.value.imag,
@@ -111,12 +117,10 @@ def _cmd_chars(args: argparse.Namespace) -> int:
 
 
 def _cmd_contour(args: argparse.Namespace) -> int:
-    chars = character_group(args.q)
-    if not (0 <= args.chi < len(chars)):
-        raise ValueError(f"contour: chi index out of range [0, {len(chars)})")
+    chi = _character(args.q, args.chi)
     kernel = SmoothingKernel(args.kernel_lo, args.kernel_hi)
     spec = ContourSpec(T=args.T, c=args.c)
-    res = contour_psi(args.x, chars[args.chi], args.y, kernel, spec)
+    res = contour_psi(args.x, chi, args.y, kernel, spec)
     print(
         _dump(
             {

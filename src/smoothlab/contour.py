@@ -117,8 +117,8 @@ def _line_grid(
     2pi) is the widest panel that sees at most one period of x^(it)."""
     width = 2 * math.pi / max(math.log(x), 2 * math.pi)
     _, mid, offsets, weights = panel_grid(t0, t1, max(4, math.ceil((t1 - t0) / width)), orders)
-    x_power = np.exp(1j * math.log(x) * np.add.outer(mid, offsets))
-    return mid, offsets, weights * kernel.mellin_many(c, mid, offsets) * x_power
+    ts = np.add.outer(mid, offsets)
+    return mid, offsets, weights * kernel.mellin_many(c, ts) * np.exp(1j * math.log(x) * ts)
 
 
 def _x_power(x: float, c: float, kernel: SmoothingKernel) -> float:

@@ -126,10 +126,9 @@ class _UnitGroup:
         return tuple(out)
 
 
-# typed, so that q = 7.0 or True is checked and not served the entry of 7 or 1
+# typed, so that each integer type of q gets a group that holds that q
 @lru_cache(maxsize=128, typed=True)
 def _unit_group(q: int) -> _UnitGroup:
-    check_modulus(q)
     if q > MAX_MODULUS:
         raise ValueError(f"modulus {q} exceeds the table bound {MAX_MODULUS}")
     comps = tuple(c for p, e in _factorize(q) if (c := _build_component(p, e)) is not None)
@@ -281,10 +280,12 @@ class _Characters(Sequence):
 def character_group(q: int) -> Sequence[DirichletCharacter]:
     """All phi(q) characters mod q, principal first, in generator-exponent
     order, as a read-only sequence that builds each character on request."""
+    check_modulus(q)  # before the cached lookup, which an unhashable q would break
     return _Characters(_unit_group(q))
 
 
 def principal_character(q: int) -> DirichletCharacter:
+    check_modulus(q)
     group = _unit_group(q)
     return DirichletCharacter(q, (0,) * len(group.orders), group)
 

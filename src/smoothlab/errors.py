@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the modulus rule.
+"""Exception types shared across the package, and the integer and modulus rules.
 
 An input outside an entry's domain raises ValueError.  The package's own
 types say why a valid input has no answer: a count past its enumeration or
@@ -29,9 +29,14 @@ class ExportError(SmoothLabError):
     """Result export failed; message carries the offending path."""
 
 
+def check_integer(value, name: str) -> None:
+    """Refuse a value that is not an integer (a bool is not one)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_modulus(q) -> None:
-    """Refuse a modulus q that is not an integer >= 1 (a bool is not one)."""
-    if not isinstance(q, numbers.Integral) or isinstance(q, bool):
-        raise ValueError(f"modulus q must be an integer, got {q!r}")
+    """Refuse a modulus q that is not an integer >= 1."""
+    check_integer(q, "modulus q")
     if q < 1:
         raise ValueError("modulus q must be >= 1")

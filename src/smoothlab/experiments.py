@@ -46,8 +46,8 @@ class ExperimentConfig:
             raise ValueError("xs, ys, qs must be nonempty")
         if not all(isinstance(v, numbers.Real) for v in (*self.xs, *self.ys, *self.epsilons)):
             raise ValueError("xs, ys and epsilons must hold numbers")
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in self.qs):
-            raise ValueError("qs must be integers")
+        for q in self.qs:
+            check_modulus(q)
         if min(self.qs) < 2:
             raise ValueError("every modulus must be >= 2")
         if max(self.qs) > MAX_MODULUS:

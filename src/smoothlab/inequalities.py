@@ -106,7 +106,7 @@ class MellinPowerF:
 
     def values(self, beta: float, ts: np.ndarray) -> np.ndarray:
         s = beta + 1j * np.asarray(ts, dtype=float)
-        return np.exp(s * math.log(self.x)) * self.kernel.mellin_many(beta, ts, (0.0,))[:, 0]
+        return np.exp(s * math.log(self.x)) * self.kernel.mellin_many(beta, ts)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ derivatives vanish at both junction points and the Mellin transform decays
 like |s|^-11 on vertical lines.
 
 Twenty integrations by parts give the transform exactly, as ten Pochhammer
-terms in 1/(s)_(j+1), j = 10..19.  mellin_many evaluates them wherever
-|Im s| >= H, a height derived from (lo, hi) at which their rounding falls to
-1e-16 hi^c, and integrates the transition by composite Gauss-Legendre
-quadrature below H.  So no ordinate is refused for its height: far up the
-line the transform underflows to 0.
+terms in 1/(s)_(j+1), j = 10..19.  mellin_many routes each ordinate t by
+itself: the closed form where |t| >= H, a height derived from (lo, hi) at
+which its rounding falls to 1e-16 hi^c, and composite Gauss-Legendre
+quadrature of the transition below H.  So no ordinate is refused for its
+height: far up the line the transform underflows to 0.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ _STEP_COEFFS = [
 ]
 _STEP_DESC = np.array(_STEP_COEFFS[::-1], dtype=float)
 
-# Terms per block of mellin_many: (row, offset, panel) in the quadrature,
-# (row, offset, Pochhammer term) in the closed form; only one block's arrays
-# are alive at once, so memory does not grow with the number of rows.
+# Terms per block of mellin_many: (ordinate, panel) in the quadrature,
+# (ordinate, Pochhammer term) in the closed form; only one block's arrays are
+# alive at once, so memory beyond the output does not grow with the ordinates.
 _BLOCK = 1 << 16
 
 # Largest panel count of one composite rule: about 56 times the contour's
@@ -169,47 +169,46 @@ class SmoothingKernel:
     def mellin(self, s: complex) -> complex:
         """Mellin transform at one s with Re(s) > 0 (scalar view of mellin_many)."""
         s = complex(s)
-        return complex(self.mellin_many(s.real, np.array([s.imag]), (0.0,))[0, 0])
+        return complex(self.mellin_many(s.real, np.array([s.imag]))[0])
 
-    def mellin_many(self, c: float, ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Transform at s = c + i(ts[k] + offsets[j]), finite c > 0, as a
-        (len(ts), len(offsets)) array; flat ordinates pass offsets=(0.0,).
+    def mellin_many(self, c: float, ts: np.ndarray) -> np.ndarray:
+        """Transform at s = c + i ts, finite c > 0, for ts of any shape, in that shape.
 
-        A row whose ordinates all satisfy |t| >= H takes the closed form
-        (_pochhammer_sum), every other row the quadrature (_quadrature).  H
-        is the height from which the closed form's rounding stays below
-        1e-16 hi^c absolute (23.5 for the default kernel, 156.5 for lo = 0.9,
-        hi = 1); below it the quadrature is accurate to about 1e-14.  Far up
-        the line the closed form underflows to 0, so every finite ordinate
-        gets a value; a grid whose ordinates, or their phases t log lo and
-        t log hi, overflow a float is refused with a ValueError, and so is
-        an abscissa past the float range (_hi_power), or past the range of
-        the quadrature's Gauss factors (_quadrature).
+        Each ordinate is routed by itself, in blocks: |t| >= H takes the
+        closed form (_pochhammer_sum), every other one the quadrature
+        (_quadrature), on one panel count that follows the largest |t| below
+        H.  H is the height from which the closed form's rounding stays
+        below 1e-16 hi^c absolute (23.5 for the default kernel, 156.5 for
+        lo = 0.9, hi = 1); below it the quadrature is accurate to about
+        1e-14.  Far up the line the closed form underflows to 0, so every
+        finite ordinate gets a value; one whose phase t log lo or t log hi
+        overflows a float is refused with a ValueError, and so is an
+        abscissa past the float range (_hi_power), or past the range of the
+        quadrature's Gauss factors (_quadrature).
         """
         self._hi_power(c)
         ts = np.asarray(ts, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if not (np.isfinite(ts).all() and np.isfinite(offsets).all()):
+        out = np.empty(ts.shape, dtype=complex)
+        if not ts.size:
+            return out
+        # min and max show a NaN, an inf and the largest |t| with no temporary
+        low, high = float(ts.min()), float(ts.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("Mellin transform requires finite s with Re(s) > 0")
-        if not (ts.size and offsets.size):
-            return np.empty((ts.size, offsets.size), dtype=complex)
-        lowest, highest = float(offsets.min()), float(offsets.max())
-        # the largest |ts[k] + offsets[j]| lies at a corner of the grid; the
-        # sums are taken in Python floats, which overflow to inf silently
-        tmax = max(abs(float(ts.max()) + highest), abs(float(ts.min()) + lowest))
-        if tmax * max(-math.log(self.lo), math.log(self.hi)) == math.inf:
-            raise ValueError("Mellin ordinates ts + offsets overflow a float (in t or in t log u)")
+        if max(-low, high) * max(-math.log(self.lo), math.log(self.hi)) == math.inf:
+            raise ValueError("Mellin ordinates overflow a float in t log u")
         height = _pochhammer_coeffs(self.lo, self.hi)[2]
-        above = (ts + lowest >= height) | (ts + highest <= -height)
-        out = np.empty((ts.size, offsets.size), dtype=complex)
-        below = ~above
-        if below.any():
-            out[below] = self._quadrature(c, ts[below], offsets)
-        rows = np.flatnonzero(above)
-        step = max(1, _BLOCK // (offsets.size * _POCHHAMMER_TERMS))
-        for k in range(0, rows.size, step):
-            block = rows[k : k + step]
-            out[block] = self._pochhammer_sum(c + 1j * np.add.outer(ts[block], offsets))
+        flat, values = ts.reshape(-1), out.reshape(-1)
+        below = []
+        step = _BLOCK // _POCHHAMMER_TERMS
+        for k in range(0, flat.size, step):
+            block = flat[k : k + step]
+            above = np.abs(block) >= height
+            below.append(k + np.flatnonzero(~above))
+            values[k : k + step][above] = self._pochhammer_sum(c + 1j * block[above])
+        below = np.concatenate(below)
+        if below.size:
+            values[below] = self._quadrature(c, flat[below])
         return out
 
     def _pochhammer_sum(self, s: np.ndarray) -> np.ndarray:
@@ -239,31 +238,25 @@ class SmoothingKernel:
             acc_hi /= s + i
         return acc_hi
 
-    def _quadrature(self, c: float, ts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """The transform on a grid of nonempty ts and offsets by quadrature.
+    def _quadrature(self, c: float, ts: np.ndarray) -> np.ndarray:
+        """The transform at the nonempty flat ordinates ts by quadrature.
 
         The [0, lo] piece is the closed form lo^s / s.  The transition piece
         is integrated over v = log u, as the integral of phi(e^v) e^(vs) over
         [log lo, log hi], on n composite order-24 Gauss-Legendre panels whose
-        count is tied to the largest |t| of these rows, so the oscillation
-        e^(ivt) is resolved and the result is accurate to about 1e-14
-        absolute.  A node is v = mid_p + xi_i (the panel_grid layout), so
-        with s_k = c + i ts[k] the exponential
-        e^(vs) = e^(s_k mid_p) * e^(s_k xi_i) * e^(i offsets[j] v)
-        separates: the last factor joins the coefficients w_i phi(e^v) once
-        per call (flat ordinates, offsets=(0.0,), get them times e^0 = 1),
-        each row costs n + 24 complex exponentials, and the sum over xi_i is
-        one matrix product with 24 rows for all offsets.  The rows are
-        walked in blocks of about _BLOCK terms.  An abscissa c whose
-        e^(c xi_i) would overflow, c times the half-panel past the float
-        range, is refused with a ValueError before any exponential.
+        count is tied to the largest |t| of ts, so the oscillation e^(ivt)
+        is resolved and the result is accurate to about 1e-14 absolute.  A
+        node is v = mid_p + xi_i (the panel_grid layout), so with s = c + it
+        the exponential e^(vs) = e^(s mid_p) * e^(s xi_i) separates: each
+        ordinate costs n + 24 complex exponentials, and the sum over xi_i is
+        one matrix product with the 24 coefficients w_i phi(e^v) of each
+        panel.  The ordinates are walked in blocks of about _BLOCK terms.  An
+        abscissa c whose e^(c xi_i) would overflow, c times the half-panel
+        past the float range, is refused with a ValueError before any
+        exponential.
         """
         log_lo = math.log(self.lo)
-        tmax = max(
-            abs(float(ts.max()) + float(offsets.max())),
-            abs(float(ts.min()) + float(offsets.min())),
-        )
-        n_panels = self._base_panels(tmax)
+        n_panels = self._base_panels(max(-float(ts.min()), float(ts.max())))
         # e^(c xi_i) must stay a float for every Gauss offset, |xi_i| < half
         half = math.log(self.hi / self.lo) / (2 * n_panels)
         if c * half > _LOG_FLOAT_MAX:
@@ -272,26 +265,15 @@ class SmoothingKernel:
                 f"hi={self.hi:g}): c times the half-panel {half:.4g} exceeds {_LOG_FLOAT_MAX:.4g}"
             )
         _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
-        v = mid[None, :] + xi[:, None]  # (xi, panel)
-        weight = (wi[:, None] * self.phi_many(np.exp(v)))[:, None, :]
-        turn_xi = np.exp(1j * np.multiply.outer(xi, offsets))[:, :, None]  # (xi, offset, 1)
-        turn_mid = np.exp(1j * np.multiply.outer(offsets, mid))  # (offset, panel)
-        # coeff[i, (j, p)] = w_i * phi(e^v) * e^(i offsets[j] v), formed in place
-        coeff = weight * turn_xi
-        coeff *= turn_mid
-        coeff = coeff.reshape(xi.size, -1)
-        out = np.empty((ts.size, offsets.size), dtype=complex)
-        step = max(1, _BLOCK // (offsets.size * (mid.size + xi.size)))
+        # complex like the exponentials, so the product is one complex GEMM on any numpy
+        coeff = (wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))).astype(complex)
+        out = np.empty(ts.size, dtype=complex)
+        step = max(1, _BLOCK // (mid.size + xi.size))
         for k in range(0, ts.size, step):
-            rows = ts[k : k + step]
-            s = c + 1j * np.add.outer(rows, offsets)
-            sk = c + 1j * rows
-            inner = np.exp(np.multiply.outer(sk, xi)) @ coeff
-            inner = inner.reshape(rows.size, offsets.size, mid.size)  # (row, offset, panel)
-            # exp times inner, in this operand order, so that flat ordinates
-            # get the values of a one-axis engine bit for bit
-            np.multiply(np.exp(np.multiply.outer(sk, mid))[:, None, :], inner, out=inner)
-            out[k : k + step] = np.exp(s * log_lo) / s + np.sum(inner, axis=2)
+            s = c + 1j * ts[k : k + step]
+            inner = np.exp(np.multiply.outer(s, xi)) @ coeff  # (ordinate, panel)
+            np.multiply(np.exp(np.multiply.outer(s, mid)), inner, out=inner)
+            out[k : k + step] = np.exp(s * log_lo) / s + np.sum(inner, axis=1)
         return out
 
     def _base_panels(self, tmax: float) -> int:

@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .dirichlet import DirichletCharacter
-from .errors import ThresholdExceededError, check_modulus
+from .errors import ThresholdExceededError, check_integer, check_modulus
 from .kernel import SmoothingKernel
 from .primes import primes_upto
 
@@ -59,6 +59,7 @@ class SmoothCountQuery:
         if self.x is None or not 1 <= self.x < math.inf:
             raise ValueError("threshold x must be finite and >= 1")
         if self.a is not None:
+            check_integer(self.a, "residue a")
             if not (0 <= self.a < self.q):
                 raise ValueError("residue a must lie in [0, q)")
             if gcd(self.a, self.q) != 1:

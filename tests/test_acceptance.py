@@ -157,7 +157,7 @@ def test_criterion_5_mellin_bounds():
         best = 0.0
         for sigma in np.linspace(0.5, 1.5, n_sigma):
             ts = np.geomspace(1.0, 100.0, n_t)
-            vals = KERNEL.mellin_many(float(sigma), ts, (0.0,))[:, 0]
+            vals = KERNEL.mellin_many(float(sigma), ts)
             mod_s = np.hypot(sigma, ts)
             best = max(best, float(np.max(np.abs(vals) * mod_s * (mod_s + 1) ** 8)))
         sups.append(best)
@@ -235,7 +235,7 @@ def _oscillating_on_twice_the_panels(x):
     n_panels = 2 * max(4, math.ceil(3.0 / min(1.0, 2 * math.pi / math.log(x))))
     _, mid, offsets, weights = panel_grid(0.0, 3.0, n_panels, (16,))
     nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, n_panels)
-    mell = KERNEL.mellin_many(1.0, nodes, (0.0,))[:, 0]
+    mell = KERNEL.mellin_many(1.0, nodes)
     return complex(np.sum(weights * np.exp(1j * nodes * math.log(x)) * mell))
 
 

@@ -181,10 +181,10 @@ def test_lfun_argument_errors(capsys):
             "usage: smoothlab lfun [-h] [--json] s_re s_im q chi_index y\n"
             "smoothlab lfun: error: the following arguments are required: q, chi_index, y",
         ),
-        (["lfun", "2", "0", "5", "9", "3"], "lfun: chi-index out of range [0, 4)"),
+        (["lfun", "2", "0", "5", "9", "3"], "character index 9 out of range [0, 4)"),
         (
             ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "9", "--T", "80"],
-            "contour: chi index out of range [0, 4)",
+            "character index 9 out of range [0, 4)",
         ),
         (["lfun", "1.2", "0.5", "5", "1", "inf"], "prime bound must be finite, got inf"),
         (["lfun", "1.2", "0.5", "5", "1", "nan"], "prime bound must be finite, got nan"),

@@ -111,7 +111,7 @@ _GRID = {"xs": [100.0], "ys": [5.0], "qs": [3]}
         (json.dumps({**_GRID, "xs": 100.0}), "config field xs must be a list"),
         (json.dumps({**_GRID, "epsilons": 0.1}), "config field epsilons must be a list"),
         (json.dumps([_GRID]), "a config must be a JSON object"),
-        (json.dumps({**_GRID, "qs": [3.5]}), "qs must be integers"),
+        (json.dumps({**_GRID, "qs": [3.5]}), "modulus q must be an integer, got 3.5"),
         (json.dumps({**_GRID, "order_threshold": 2}), "unknown config keys: order_threshold"),
         (json.dumps({**_GRID, "xs": ["100"]}), "xs, ys and epsilons must hold numbers"),
         (json.dumps({**_GRID, "output_path": 2}), "output_path must be a path"),

@@ -96,12 +96,12 @@ def test_near_pole_guard():
             1.0, ZERO, principal_character(1), 10.0, np.array([0.0, math.nan])
         ),
         lambda: euler_product_many(1.0, ZERO, principal_character(1), 10.0, np.array([math.inf])),
-        lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0]), ZERO),
-        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan]), ZERO),
+        lambda: SmoothingKernel().mellin_many(math.inf, np.array([1.0])),
+        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0, math.nan])),
         lambda: SmoothingKernel().mellin(complex(1.0, math.inf)),
         lambda: SmoothingKernel().mellin(complex(1.0, math.nan)),
         lambda: SmoothingKernel().mellin(math.inf),
-        lambda: SmoothingKernel().mellin_many(1.0, np.array([1.0]), np.array([0.0, math.inf])),
+        lambda: SmoothingKernel().mellin_many(1.0, np.add.outer([1.0], [0.0, math.inf])),
     ],
     ids=[
         "euler_product-nan-s", "euler_product-inf-t", "euler_product_many-inf-c",

@@ -29,6 +29,7 @@ ONE = np.ones(1)
 NAN = np.full(1, np.nan)
 NOT_INTEGER = "modulus q must be an integer, got"
 BELOW_ONE = "modulus q must be >= 1"
+NOT_INTEGER_A = "residue a must be an integer, got"
 
 
 @pytest.mark.parametrize(
@@ -106,6 +107,12 @@ BELOW_ONE = "modulus q must be >= 1"
         (lambda tmp: principal_character(-3), BELOW_ONE),
         (lambda tmp: principal_character(2.5), f"{NOT_INTEGER} 2.5"),
         (lambda tmp: principal_character(True), f"{NOT_INTEGER} True"),
+        # a residue that is not an integer is refused as q is, not left to gcd
+        (lambda tmp: SmoothCountQuery(x=10, y=5, q=3, a=1.5), f"{NOT_INTEGER_A} 1.5"),
+        (lambda tmp: SmoothCountQuery(x=10, y=5, q=3, a=True), f"{NOT_INTEGER_A} True"),
+        # the modulus is checked before the cached unit group, which cannot hash a list
+        (lambda tmp: character_group([5]), rf"{NOT_INTEGER} \[5\]"),
+        (lambda tmp: principal_character([5]), rf"{NOT_INTEGER} \[5\]"),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -128,6 +135,7 @@ BELOW_ONE = "modulus q must be >= 1"
         "character_group_minus_3", "character_group_2.5",
         "principal_character_0", "principal_character_minus_3",
         "principal_character_2.5", "principal_character_true",
+        "residue_1.5", "residue_true", "character_group_list", "principal_character_list",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):
