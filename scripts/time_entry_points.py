@@ -4,11 +4,13 @@
 Each entry runs once, as a child process of this script, in a fresh
 temporary directory that receives any file it writes, with this checkout's
 src/ first on PYTHONPATH.  For each entry the object records the argument
-list, the wall time from start to exit, the child's own peak resident set
-size (ru_maxrss from os.wait4, so earlier children do not count), its exit
-status and the sha256 of its stdout, so two reports, from two checkouts or
-two runs of one, show by a diff which entries printed other bytes.  The CLI subcommands run at these fixed arguments, the scripts at
-their defaults:
+list, the wall time from start to exit, the child's own CPU time (ru_utime
++ ru_stime, above the wall time when a second BLAS thread spins) and peak
+resident set size (ru_maxrss), both from os.wait4 so that earlier children
+do not count, its exit status and the sha256 of its stdout, so two
+reports, from two checkouts or two runs of one, show by a diff which
+entries printed other bytes.  The CLI subcommands run at these fixed
+arguments, the scripts at their defaults:
 
     count                  count 100000 1000 --q 7 --a 3 --weighted --json
     saddle                 saddle 1e8 1000 --json
@@ -60,8 +62,8 @@ SCRIPTS = ("run_equidistribution", "run_contour_check", "run_inequality_corpus")
 
 
 def _run(argv: list[str], env: dict[str, str]) -> dict:
-    """Run argv in a fresh temporary directory; its wall time, peak RSS, exit
-    status and stdout digest."""
+    """Run argv in a fresh temporary directory; its wall time, CPU time, peak
+    RSS, exit status and stdout digest."""
     with tempfile.TemporaryDirectory() as work:
         Path(work, "config.json").write_text(json.dumps(CONFIG))
         stdout = Path(work, "stdout.txt")
@@ -78,6 +80,7 @@ def _run(argv: list[str], env: dict[str, str]) -> dict:
         digest = hashlib.sha256(stdout.read_bytes()).hexdigest()
     return {
         "wall_s": round(wall, 4),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 4),
         "peak_rss_mb": round(usage.ru_maxrss / 1024, 2),
         "exit": proc.returncode,
         "stdout_sha256": digest,

@@ -116,17 +116,24 @@ def _pochhammer_coeffs(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, fl
         at_one = sum(c * math.perm(first + k, j) for k, c in enumerate(_STEP_COEFFS))
         alpha.append(_STEP_COEFFS[j - first] * math.factorial(j) * (hi_q / (hi_q - lo_q)) ** j)
         beta.append(-at_one * (lo_q / (hi_q - lo_q)) ** j)
-    moduli = [float(abs(a) + abs(b)) for a, b in zip(alpha, beta)]
 
     def rounding(height: float) -> float:
         return 2.2e-16 * sum(m / height ** (first + 1 + j) for j, m in enumerate(moduli))
 
-    low, high = 1.0, 2.0
-    while rounding(high) > 1e-16:
-        low, high = high, 2.0 * high
-    for _ in range(60):
-        mid = 0.5 * (low + high)
-        low, high = (mid, high) if rounding(mid) > 1e-16 else (low, mid)
+    try:
+        moduli = [float(abs(a) + abs(b)) for a, b in zip(alpha, beta)]
+        low, high = 1.0, 2.0
+        while rounding(high) > 1e-16:
+            low, high = high, 2.0 * high
+        for _ in range(60):
+            mid = 0.5 * (low + high)
+            low, high = (mid, high) if rounding(mid) > 1e-16 else (low, mid)
+    except OverflowError:
+        # (hi / (hi - lo))^j or H^(j + 11) passes the float range
+        raise ValueError(
+            f"kernel transition too narrow for float arithmetic (lo={lo!r}, hi={hi!r}): "
+            "its closed-form coefficients or height pass the float range"
+        ) from None
     decay = sum(m * high ** -j for j, m in enumerate(moduli))
     return np.array(alpha, dtype=float), np.array(beta, dtype=float), high, decay
 
@@ -246,16 +253,22 @@ class SmoothingKernel:
         [log lo, log hi], on n composite order-24 Gauss-Legendre panels whose
         count is tied to the largest |t| of ts, so the oscillation e^(ivt)
         is resolved and the result is accurate to about 1e-14 absolute.  A
-        node is v = mid_p + xi_i (the panel_grid layout), so with s = c + it
-        the exponential e^(vs) = e^(s mid_p) * e^(s xi_i) separates: each
-        ordinate costs n + 24 complex exponentials, and the sum over xi_i is
-        one matrix product with the 24 coefficients w_i phi(e^v) of each
-        panel.  The ordinates are walked in blocks of about _BLOCK terms.  An
-        abscissa c whose e^(c xi_i) would overflow, c times the half-panel
+        node is v = mid_p + xi_i (the panel_grid layout).  With s = c + it,
+        the real factor e^(cv) = e^(c mid_p) e^(c xi_i) joins the coefficients
+        w_i phi(e^v) once per call, and the phase e^(itv) separates twice.
+        The Gauss offsets come in pairs +-xi_i, so the sum over a panel's
+        nodes is two real matrix products, with cos(t xi_i) and sin(t xi_i)
+        at the twelve positive offsets.  The midpoints are equally spaced by
+        h, so the sum over the panels is Horner's rule in e^(-ith), anchored
+        at the top midpoint; as |e^(-ith)| = 1, no partial sum exceeds the
+        sum of the moduli of its terms.  Each ordinate costs 15 complex
+        exponentials for any n: twelve cos/sin pairs, e^(-ith), e^(it mid_top)
+        and lo^s.  The ordinates are walked in blocks of about _BLOCK terms.
+        An abscissa c whose e^(c xi_i) would overflow, c times the half-panel
         past the float range, is refused with a ValueError before any
         exponential.
         """
-        log_lo = math.log(self.lo)
+        log_lo, log_hi = math.log(self.lo), math.log(self.hi)
         n_panels = self._base_panels(max(-float(ts.min()), float(ts.max())))
         # e^(c xi_i) must stay a float for every Gauss offset, |xi_i| < half
         half = math.log(self.hi / self.lo) / (2 * n_panels)
@@ -264,16 +277,31 @@ class SmoothingKernel:
                 f"abscissa c={c:g} too large for the kernel quadrature (lo={self.lo:g}, "
                 f"hi={self.hi:g}): c times the half-panel {half:.4g} exceeds {_LOG_FLOAT_MAX:.4g}"
             )
-        _, mid, xi, wi = panel_grid(log_lo, math.log(self.hi), n_panels, (24,))
-        # complex like the exponentials, so the product is one complex GEMM on any numpy
-        coeff = (wi[:, None] * self.phi_many(np.exp(mid[None, :] + xi[:, None]))).astype(complex)
+        _, mid, xi, wi = panel_grid(log_lo, log_hi, n_panels, (24,))
+        coeff = wi * self.phi_many(np.exp(mid[:, None] + xi))  # (panel, offset)
+        coeff *= np.exp(c * xi)
+        coeff *= np.exp(c * mid)[:, None]
+        # leggauss's offsets are symmetric, xi[23 - i] = -xi[i]: pair the twelve
+        # below 0, reversed, with the twelve above it
+        pairs = xi.size // 2
+        upper, lower = coeff[:, pairs:], coeff[:, pairs - 1 :: -1]
+        even, odd = upper + lower, upper - lower
+        width = (log_hi - log_lo) / n_panels  # the step of panel_grid's linspace
         out = np.empty(ts.size, dtype=complex)
-        step = max(1, _BLOCK // (mid.size + xi.size))
-        for k in range(0, ts.size, step):
-            s = c + 1j * ts[k : k + step]
-            inner = np.exp(np.multiply.outer(s, xi)) @ coeff  # (ordinate, panel)
-            np.multiply(np.exp(np.multiply.outer(s, mid)), inner, out=inner)
-            out[k : k + step] = np.exp(s * log_lo) / s + np.sum(inner, axis=1)
+        block = max(1, _BLOCK // (mid.size + xi.size))
+        for k in range(0, ts.size, block):
+            t = ts[k : k + block]
+            turn = np.multiply.outer(xi[pairs:], t)
+            inner = np.empty((mid.size, t.size), dtype=complex)  # (panel, ordinate)
+            inner.real = even @ np.cos(turn)
+            inner.imag = odd @ np.sin(turn)
+            ratio = np.exp(-1j * width * t)
+            acc = inner[0]
+            for row in inner[1:]:
+                acc *= ratio
+                acc += row
+            s = c + 1j * t
+            out[k : k + block] = np.exp(s * log_lo) / s + np.exp(1j * mid[-1] * t) * acc
         return out
 
     def _base_panels(self, tmax: float) -> int:

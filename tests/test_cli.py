@@ -227,6 +227,11 @@ def test_lfun_argument_errors(capsys):
             "need 0 < lo < hi < inf, got lo=0.5, hi=inf",
         ),
         (
+            ["contour", "--x", "1000", "--y", "10", "--q", "5", "--chi", "1", "--T", "80"]
+            + ["--kernel-lo", "1", "--kernel-hi", "1.000000000000001"],
+            "kernel transition too narrow for float arithmetic (lo=1.0, hi=1.000000000000001)",
+        ),
+        (
             ["count", "100", "5", "--kernel-lo", "0.3", "--kernel-hi", "0.1"],
             "count: --kernel-lo and --kernel-hi need --weighted",
         ),
@@ -254,7 +259,7 @@ def test_lfun_argument_errors(capsys):
         "contour_panels_above_cap_by_height",
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
         "contour_abscissa_past_kernel_range", "verify_negative_seeds", "contour_kernel_hi_inf",
-        "count_kernel_flags_without_weighted", "unsmoothing_plot_data", "unsmoothing_json",
+        "contour_kernel_too_narrow", "count_kernel_flags_without_weighted", "unsmoothing_plot_data", "unsmoothing_json",
         "verify_negative_seed_base",
     ],
 )

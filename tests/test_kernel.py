@@ -309,6 +309,48 @@ def test_quadrature_abscissa_past_gauss_factor_range_refused():
     assert got == pytest.approx(1.3445870892482707e-33 - 8.618431799897109e-36j, rel=1e-12)
 
 
+def _clongdouble_quadrature(kernel, c, ts):
+    """lo^s / s + sum C e^(sv) over the quadrature's nodes v = mid_p + xi_i,
+    node by node in extended precision with C = w_i phi(e^v) as the engine
+    forms it, and the sum of the moduli of those terms."""
+    n = kernel._base_panels(np.max(np.abs(ts)))
+    _, mid, xi, wi = panel_grid(math.log(kernel.lo), math.log(kernel.hi), n, (24,))
+    coeff = (wi * kernel.phi_many(np.exp(np.add.outer(mid, xi)))).astype(np.longdouble)
+    nodes = np.add.outer(mid.astype(np.longdouble), xi.astype(np.longdouble))
+    s = np.longdouble(c) + 1j * ts.astype(np.longdouble).astype(np.clongdouble)
+    terms = coeff * np.exp(np.multiply.outer(s, nodes))  # (ordinate, panel, offset)
+    plateau = np.exp(s * np.log(np.longdouble(kernel.lo))) / s
+    return plateau + terms.sum(axis=(1, 2)), np.abs(plateau) + np.abs(terms).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("kernel", [KERNEL, NARROW, SmoothingKernel(lo=0.1, hi=3.0)])
+@pytest.mark.parametrize("c", [1e-3, 0.3, 0.75, 1.0, 1.5, 5.0, 50.0])
+def test_quadrature_matches_extended_precision_sum(kernel, c):
+    # every ordinate lies below H, so all of them take the quadrature, on the
+    # panels of the largest |t|; the engine regroups the sum over the same
+    # nodes (paired offsets, Horner over the panels), so it differs from the
+    # node-by-node sum by rounding only
+    ts = np.random.default_rng(29).uniform(-_height(kernel), _height(kernel), 256)
+    want, scale = _clongdouble_quadrature(kernel, c, ts)
+    got = kernel.mellin_many(c, ts)
+    assert float(np.max(np.abs(got - want) / scale)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrature_finite_at_both_abscissa_limits():
+    # just under the hi^c D limit of the default kernel, and just under the
+    # Gauss-factor limit of NARROW, where hi = 1 leaves hi^c D no limit; the
+    # top-anchored recurrence in e^(-ith) keeps every partial sum a float
+    ts = np.linspace(-0.999, 0.999, 41)
+    limit = (math.log(np.finfo(float).max) - math.log(KERNEL.decay_constant())) / math.log(2.0)
+    assert np.isfinite(KERNEL.mellin_many(limit * (1 - 1e-12), _height(KERNEL) * ts)).all()
+    narrow_ts = _height(NARROW) * ts
+    n_panels = NARROW._base_panels(np.max(np.abs(narrow_ts)))
+    half = math.log(NARROW.hi / NARROW.lo) / (2 * n_panels)
+    got = NARROW.mellin_many(math.log(np.finfo(float).max) / half * (1 - 1e-12), narrow_ts)
+    assert np.isfinite(got).all() and np.all(got != 0)
+
+
 def test_mellin_lower_bound_on_unit_interval():
     for c in np.linspace(0.02, 1.0, 50):
         assert KERNEL.mellin(float(c)).real >= 1.0 / (2.0 * c)
@@ -392,6 +434,15 @@ def test_kernel_needs_finite_ordered_positive_bounds(lo, hi):
     # an infinite hi has no finite Mellin coefficients, so it is refused up front
     with pytest.raises(ValueError, match="need 0 < lo < hi < inf"):
         SmoothingKernel(lo, hi)
+
+
+def test_narrow_kernel_answers_while_its_coefficients_are_floats():
+    # the transition 1e-13 wide still has float coefficients (D = 1.6e148);
+    # 1e-15 wide is refused (tests/test_refusals.py), not left to overflow
+    kernel = SmoothingKernel(lo=1.0, hi=1.0 + 1e-13)
+    assert kernel.mellin(0.5 + 1j) == pytest.approx(1 / (0.5 + 1j), rel=1e-12)
+    assert math.isfinite(kernel.mellin_tail(0.5, 10.0))
+    assert kernel.decay_constant() == pytest.approx(1.6e148, rel=0.01)
 
 
 # -- composite rule layout ------------------------------------------------------

@@ -30,6 +30,8 @@ NAN = np.full(1, np.nan)
 NOT_INTEGER = "modulus q must be an integer, got"
 BELOW_ONE = "modulus q must be >= 1"
 NOT_INTEGER_A = "residue a must be an integer, got"
+NARROWEST = SmoothingKernel(lo=1.0, hi=1.0 + 1e-15)
+TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.000000000000001\)"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +115,10 @@ NOT_INTEGER_A = "residue a must be an integer, got"
         # the modulus is checked before the cached unit group, which cannot hash a list
         (lambda tmp: character_group([5]), rf"{NOT_INTEGER} \[5\]"),
         (lambda tmp: principal_character([5]), rf"{NOT_INTEGER} \[5\]"),
+        # a transition whose closed-form coefficients pass the float range
+        (lambda tmp: NARROWEST.mellin(0.5 + 1j), TOO_NARROW),
+        (lambda tmp: NARROWEST.mellin_tail(0.5, 10.0), TOO_NARROW),
+        (lambda tmp: NARROWEST.decay_constant(), TOO_NARROW),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -136,6 +142,7 @@ NOT_INTEGER_A = "residue a must be an integer, got"
         "principal_character_0", "principal_character_minus_3",
         "principal_character_2.5", "principal_character_true",
         "residue_1.5", "residue_true", "character_group_list", "principal_character_list",
+        "narrow_kernel_mellin", "narrow_kernel_mellin_tail", "narrow_kernel_decay_constant",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):

@@ -76,6 +76,7 @@ print(json.dumps([big, small]))
     # the second child's peak is its own, not the larger one of the first
     assert small["exit"] == 3 and small["peak_rss_mb"] < 96
     assert big["wall_s"] > 0 and small["wall_s"] > 0
+    assert big["cpu_s"] > 0 and small["cpu_s"] > 0
     # each digest is of that child's stdout alone
     assert big["stdout_sha256"] == hashlib.sha256(b"").hexdigest()
     assert small["stdout_sha256"] == hashlib.sha256(b"smooth\n").hexdigest()
