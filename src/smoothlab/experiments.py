@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dirichlet import MAX_MODULUS
-from .errors import ExportError, check_modulus
+from .errors import ExportError, check_integer, check_modulus
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, smooth_values
 
@@ -179,6 +179,7 @@ def max_discrepancy(records: list[ResultRecord]) -> dict[tuple[float, float, int
 def power_subgroup(q: int, exponent: int) -> list[int]:
     """The subgroup of exponent-th powers in (Z/qZ)*, a surrogate coset structure."""
     check_modulus(q)
+    check_integer(exponent, "exponent")
     units = [a for a in range(q) if gcd(a, q) == 1]
     return sorted({pow(a, exponent, q) for a in units})
 

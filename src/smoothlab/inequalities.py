@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, check_integer
 from .kernel import SmoothingKernel, panel_grid
 from .lseries import _factor_matrices
 from .primes import primes_upto
@@ -75,6 +75,7 @@ class RandomEulerSpec:
     rule: str = G_RULE_UNIT_PHASE
 
     def __post_init__(self) -> None:
+        check_integer(self.seed, "seed")
         if self.y > MAX_EULER_Y:
             raise ValueError(f"need y <= {MAX_EULER_Y}")
         if not (0.75 <= self.beta <= 1.3):
@@ -86,7 +87,7 @@ class RandomEulerSpec:
 
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(primes, g values) arrays; the modulus of every g(p) is <= 1."""
-        ps = np.array(primes_upto(self.y), dtype=float)
+        ps = primes_upto(self.y)
         rng = np.random.default_rng(self.seed)
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, ps.size))
         if self.rule == G_RULE_DISC:
@@ -246,6 +247,7 @@ def check_majorant(
     lambdas = np.asarray(lambdas, dtype=float)
     a = np.asarray(a, dtype=complex)
     big_a = np.asarray(big_a, dtype=float)
+    check_integer(n, "n")
     if not (1 <= n <= MAX_MAJORANT_TERMS):
         raise ValueError(f"need 1 <= n <= {MAX_MAJORANT_TERMS}")
     if not (lambdas.size == a.size == big_a.size == n):
@@ -275,6 +277,7 @@ def pointwise_product_chain(
     for name, value in (("chi_p", chi_p), ("t", t), ("alpha", alpha)):
         if not cmath.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    check_integer(p, "p")
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     if alpha <= 0:
@@ -386,10 +389,10 @@ def run_suite(suite: str, count: int, seed_base: int = 0) -> SuiteResult:
     """Run `count` >= 0 instances of one suite, seeded from `seed_base` >= 0 up, in seed order."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
-    if count < 0:
-        raise ValueError(f"seed count must be >= 0, got {count}")
-    if seed_base < 0:
-        raise ValueError(f"seed base must be >= 0, got {seed_base}")
+    for name, value in (("seed count", count), ("seed base", seed_base)):
+        check_integer(value, name)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     draw = _DRAWS[suite]
     reports = [draw(np.random.default_rng(s), s) for s in range(seed_base, seed_base + count)]
     violations = sum(1 for rep in reports if not rep.holds)

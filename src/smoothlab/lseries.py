@@ -36,10 +36,10 @@ class EulerProductValue:
 
 def _support(chi: DirichletCharacter, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Primes p <= y with chi(p) != 0, and the corresponding character values."""
-    ps = np.array(primes_upto(y), dtype=np.int64)
+    ps = primes_upto(y)
     cs = chi.values(ps)
     keep = cs != 0
-    return ps[keep].astype(float), cs[keep]
+    return ps[keep], cs[keep]
 
 
 def _guarded(

@@ -43,7 +43,7 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
         raise ValueError("need finite x >= y")
     if q is not None:
         check_modulus(q)
-    plist = [p for p in primes_upto(y) if q is None or q % p != 0]
+    plist = [p for p in primes_upto(y).tolist() if q is None or q % p != 0]
     if not plist:
         raise NoConvergenceError(
             f"no primes <= {y} coprime to {q}; saddle equation has no solution"

@@ -75,15 +75,15 @@ class SmoothCount:
 
 def is_smooth(n: int, y: float) -> bool:
     """True iff every prime factor of n is <= y (n = 1 vacuously smooth)."""
+    check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    m = n
-    for p in primes_upto(min(y, math.isqrt(n))):
-        if p * p > m:
+    for p in primes_upto(min(y, math.isqrt(n))).tolist():
+        if p * p > n:
             break
-        while m % p == 0:
-            m //= p
-    return m == 1 or m <= y
+        while n % p == 0:
+            n //= p
+    return n == 1 or n <= y
 
 
 def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
@@ -105,7 +105,7 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     vals = [1]
     # a prime above the limit only copies the list
-    for p in primes_upto(min(y, limit)):
+    for p in primes_upto(min(y, limit)).tolist():
         if q % p == 0:
             continue
         out = []
@@ -184,6 +184,8 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
     """The primes p <= y not dividing q and the log budget exponent * log(base),
     inf past the float range, after checking bigx = (base, exponent), y and q."""
     base, exponent = bigx
+    check_integer(base, "base")
+    check_integer(exponent, "exponent")
     if base < 2 or exponent < 1:
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
     if not 2 <= y < math.inf:
@@ -193,7 +195,7 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
         budget = exponent * math.log(base)
     except OverflowError:
         budget = math.inf
-    return [p for p in primes_upto(y) if q % p != 0], budget
+    return [p for p in primes_upto(y).tolist() if q % p != 0], budget
 
 
 def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCount:

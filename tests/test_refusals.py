@@ -1,12 +1,14 @@
 """Input refusals of the public entry points that no other test reaches."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from smoothlab import (
     ExperimentConfig,
+    RandomEulerSpec,
     SmoothCountQuery,
     SmoothingKernel,
     character_group,
@@ -17,6 +19,7 @@ from smoothlab import (
     ennola_estimate,
     export_results,
     is_smooth,
+    main_term_ratio,
     pointwise_product_chain,
     power_subgroup,
     principal_character,
@@ -119,6 +122,15 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         (lambda tmp: NARROWEST.mellin(0.5 + 1j), TOO_NARROW),
         (lambda tmp: NARROWEST.mellin_tail(0.5, 10.0), TOO_NARROW),
         (lambda tmp: NARROWEST.decay_constant(), TOO_NARROW),
+        # integers that reached range, isqrt or a float comparison unchecked
+        (lambda tmp: run_suite("calculus", 2.5), "seed count must be an integer, got 2.5"),
+        (lambda tmp: run_suite("calculus", 2, 1.5), "seed base must be an integer, got 1.5"),
+        (lambda tmp: is_smooth(10.0, 5), "n must be an integer, got 10.0"),
+        (lambda tmp: is_smooth(True, 5), "n must be an integer, got True"),
+        (lambda tmp: count_smooth_bigx((2.5, 10), 3), "base must be an integer, got 2.5"),
+        (lambda tmp: count_smooth_bigx((2, 10.5), 3), "exponent must be an integer, got 10.5"),
+        (lambda tmp: ennola_estimate((2, 100.5), 3), "exponent must be an integer, got 100.5"),
+        (lambda tmp: check_majorant(2.5, ONE, ONE, ONE, 1.0), "n must be an integer, got 2.5"),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -143,9 +155,48 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         "principal_character_2.5", "principal_character_true",
         "residue_1.5", "residue_true", "character_group_list", "principal_character_list",
         "narrow_kernel_mellin", "narrow_kernel_mellin_tail", "narrow_kernel_decay_constant",
+        "suite_count_2.5", "suite_seed_base_1.5", "is_smooth_10.0", "is_smooth_true",
+        "bigx_base_2.5", "bigx_exponent_10.5", "ennola_exponent_100.5", "majorant_n_2.5",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
     assert not list(tmp_path.iterdir())  # nothing is written before a refusal
+
+
+# Every integer parameter of the public API: a call that puts the value under
+# test in that parameter's place, and the name its refusal gives.
+INTEGER_PARAMETERS = {
+    "query_q": (lambda v: SmoothCountQuery(100, 10, v), "modulus q"),
+    "query_a": (lambda v: SmoothCountQuery(10, 5, 3, v), "residue a"),
+    "config_qs": (lambda v: ExperimentConfig(xs=(100.0,), ys=(5.0,), qs=(v,)), "modulus q"),
+    "smooth_values_q": (lambda v: smooth_values(100, 10, v), "modulus q"),
+    "is_smooth_n": (lambda v: is_smooth(v, 5), "n"),
+    "bigx_base": (lambda v: count_smooth_bigx((v, 10), 3.0), "base"),
+    "bigx_exponent": (lambda v: count_smooth_bigx((2, v), 3.0), "exponent"),
+    "bigx_q": (lambda v: count_smooth_bigx((2, 10), 3.0, v), "modulus q"),
+    "ennola_base": (lambda v: ennola_estimate((v, 100), 3.0), "base"),
+    "ennola_exponent": (lambda v: ennola_estimate((2, v), 3.0), "exponent"),
+    "ennola_q": (lambda v: ennola_estimate((2, 100), 3.0, v), "modulus q"),
+    "saddle_q": (lambda v: saddle_alpha(100, 10, v), "modulus q"),
+    "main_term_ratio_q": (lambda v: main_term_ratio(100.0, 10.0, v, SmoothingKernel()), "modulus q"),
+    "power_subgroup_q": (lambda v: power_subgroup(v, 2), "modulus q"),
+    "power_subgroup_exponent": (lambda v: power_subgroup(7, v), "exponent"),
+    "character_group_q": (lambda v: character_group(v), "modulus q"),
+    "principal_character_q": (lambda v: principal_character(v), "modulus q"),
+    "suite_count": (lambda v: run_suite("calculus", v), "seed count"),
+    "suite_seed_base": (lambda v: run_suite("calculus", 2, v), "seed base"),
+    "majorant_n": (lambda v: check_majorant(v, ONE, ONE, ONE, 1.0), "n"),
+    "chain_p": (lambda v: pointwise_product_chain(v, 1.0, 0.0, 1.0), "p"),
+    "pointwise_p": (lambda v: check_pointwise_product(v, 1.0, 0.0, 1.0), "p"),
+    "euler_spec_seed": (lambda v: RandomEulerSpec(y=10.0, beta=1.0, r=1.0, seed=v), "seed"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 10.0, True], ids=["2.5", "10.0", "true"])
+@pytest.mark.parametrize("parameter", INTEGER_PARAMETERS)
+def test_integer_parameter_refuses_non_integers(parameter, value):
+    call, name = INTEGER_PARAMETERS[parameter]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {value!r}$"):
+        call(value)

@@ -19,6 +19,7 @@ from smoothlab import (
     count_smooth_weighted,
     ennola_estimate,
     is_smooth,
+    saddle_alpha,
     smooth_values,
 )
 from smoothlab.errors import ThresholdExceededError
@@ -536,16 +537,22 @@ def test_sieve_bound_refused_before_sieving():
         is_smooth(10**20, 1e12)
 
 
+def _fresh_sieve(monkeypatch):
+    empty = np.zeros(0, dtype=np.int64)
+    empty.setflags(write=False)
+    monkeypatch.setattr(primes, "_LIMIT", 0)
+    monkeypatch.setattr(primes, "_PRIMES", empty)
+
+
 def test_sieve_growth_clamped_to_bound(monkeypatch):
     monkeypatch.setattr(primes, "MAX_SIEVE", 5000)
-    monkeypatch.setattr(primes, "_LIMIT", 0)
-    monkeypatch.setattr(primes, "_PRIMES", [])
+    _fresh_sieve(monkeypatch)
     assert primes.primes_upto(3000)[-1] == 2999
     # doubling the limit would sieve to 6000; the bound clamps it to 5000
     assert primes.primes_upto(4000)[-1] == 3989
     assert primes._LIMIT == 5000
     want = [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-    assert primes.primes_upto(5000) == want
+    assert primes.primes_upto(5000).tolist() == want
     with pytest.raises(ValueError, match="exceeds the sieve bound 5000"):
         primes.primes_upto(5001)
 
@@ -561,11 +568,24 @@ def _eratosthenes(n):
 
 
 def test_sieve_matches_plain_eratosthenes(monkeypatch):
-    monkeypatch.setattr(primes, "_LIMIT", 0)
-    monkeypatch.setattr(primes, "_PRIMES", [])
+    _fresh_sieve(monkeypatch)
     got = primes.primes_upto(10**6)
-    assert got == _eratosthenes(10**6)
-    assert all(type(p) is int for p in got[:10] + got[-10:])
+    assert got.tolist() == _eratosthenes(10**6)
+    # one read-only int64 array: every call is a prefix view of it
+    assert got.dtype == np.int64 and not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = 4
+    assert np.shares_memory(got, primes.primes_upto(1000))
+    assert primes.primes_upto(1.5).size == 0 and primes.primes_upto(-1e300).size == 0
+
+
+def test_exact_integer_callers_take_q_and_n_past_int64():
+    # q % p and n % p stay on Python ints: an int64 prime array would
+    # overflow at q = 10**30 or n = 3 * 2**70
+    assert saddle_alpha(1e6, 100, 10**30).alpha == 0.5560909250541703
+    assert smooth_values(1000, 7, 10**30).size == 16
+    assert is_smooth(3 * 2**70, 3)
+    assert count_smooth_bigx((2, 100), 5, 10**30).value == 64
 
 
 def test_smooth_values_sorted_set_matches_brute():
