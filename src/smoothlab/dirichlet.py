@@ -4,9 +4,9 @@ The unit group (Z/qZ)* is split by CRT into cyclic pieces (primitive roots
 at odd prime powers, <-1, 5> at powers of two), and a character is the tuple
 of its exponents against those generators.  A discrete-log table per
 prime-power factor, one integer row per generator indexed by residue, makes
-evaluation an array lookup, and character values are carried as exact
-fractions of a full turn, so products, conjugates and long factor products
-do not drift.
+evaluation an array lookup: chi(n) is the integer turn k mod L, L the lcm
+of the generator orders, and becomes a complex number only at the end,
+exactly at the quarter turns, so no value carries rounding from another.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import check_modulus
+from .errors import check_integer, check_modulus
 
 MAX_MODULUS = 10**6
 
@@ -119,12 +119,6 @@ class _UnitGroup:
                 gens.append((1 + rest * ((g - 1) * inv % comp.modulus)) % self.q)
         return tuple(gens)
 
-    def dlog_of(self, n: int) -> tuple[int, ...]:
-        out: list[int] = []
-        for comp in self.components:
-            out += comp.dlog[:, n % comp.modulus].tolist()
-        return tuple(out)
-
 
 # typed, so that each integer type of q gets a group that holds that q
 @lru_cache(maxsize=128, typed=True)
@@ -172,41 +166,27 @@ class DirichletCharacter:
             idx += k
         return f
 
-    def angle(self, n: int) -> Fraction | None:
-        """chi(n) as an exact fraction of a full turn, or None off the support."""
-        r = n % self.modulus
-        if gcd(r, self.modulus) != 1:
-            return None
-        logs = self.group.dlog_of(r)
-        total = sum(
-            (Fraction(m * l, d) for m, l, d in zip(self.exponents, logs, self.group.orders)),
-            Fraction(0),
-        )
-        return total % 1
-
     def __call__(self, n: int) -> complex:
-        a = self.angle(n)
-        return 0j if a is None else _turn(a.numerator, a.denominator)
+        """chi(n), the scalar view of values: the integer turn k mod L of n's
+        residue, which is reduced mod q on Python ints, so n past 2^63 answers."""
+        check_integer(n, "n")
+        return complex(self.values(np.array([int(n) % self.modulus]))[0])
 
     def conjugate(self) -> "DirichletCharacter":
         exps = tuple((-m) % d for m, d in zip(self.exponents, self.group.orders))
         return DirichletCharacter(self.modulus, exps, self.group)
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if other.modulus != self.modulus:
-            raise ValueError("can only multiply characters to the same modulus")
-        exps = tuple(
-            (m1 + m2) % d for m1, m2, d in zip(self.exponents, other.exponents, self.group.orders)
-        )
-        return DirichletCharacter(self.modulus, exps, self.group)
-
     def values(self, ns: np.ndarray) -> np.ndarray:
         """chi at every entry of an integer array, as a complex array (zeros
-        off the support)."""
+        off the support).  An array whose dtype is not an integer type that
+        casts safely to int64 (float, complex, bool, object, uint64) is
+        refused."""
         # chi(n) is the turn k(n) / L with k(n) = sum (m * dlog % d) * (L / d)
-        # mod L; each distinct k is mapped to a complex value once, exactly as
-        # __call__ maps the reduced fraction k / L.
-        ns = np.asarray(ns, dtype=np.int64)
+        # mod L; each distinct k is mapped to a complex value once.
+        ns = np.asarray(ns)
+        if ns.dtype.kind not in "iu" or not np.can_cast(ns.dtype, np.int64):
+            raise ValueError(f"ns must be an integer array within int64, got dtype {ns.dtype}")
+        ns = ns.astype(np.int64, copy=False)
         group = self.group
         big_l = lcm(*group.orders)
         rows = ((comp.modulus, row) for comp in group.components for row in comp.dlog)

@@ -1,5 +1,9 @@
 """Character groups: construction, evaluation, orders, conductors."""
 
+import cmath
+import itertools
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -8,11 +12,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from smoothlab import character_group, primes_upto, principal_character
-from smoothlab.dirichlet import _unit_group
+from smoothlab.dirichlet import DirichletCharacter, _unit_group
 
 
 def _phi(q):
     return sum(1 for a in range(q) if gcd(a, q) == 1) if q > 1 else 1
+
+
+def _units(q):
+    return np.array([a for a in range(q) if gcd(a, q) == 1], dtype=np.int64)
+
+
+def _power_product(chi, k, other):
+    """The character chi^k * other, its exponents summed mod the orders."""
+    exps = tuple(
+        (k * m1 + m2) % d for m1, m2, d in zip(chi.exponents, other.exponents, chi.group.orders)
+    )
+    return DirichletCharacter(chi.modulus, exps, chi.group)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12, 16, 24, 30, 45, 128])
@@ -33,10 +49,14 @@ def test_order_multisets():
 def test_closed_under_multiplication_and_conjugation(q):
     chars = character_group(q)
     index = {c.exponents for c in chars}
+    units = _units(q)
     for c1 in chars:
         assert c1.conjugate().exponents in index
         for c2 in chars:
-            assert (c1 * c2).exponents in index
+            product = _power_product(c1, 1, c2)
+            assert product.exponents in index
+            pointwise = c1.values(units) * c2.values(units)
+            assert np.max(np.abs(product.values(units) - pointwise)) < 1e-12
 
 
 def test_evaluate_examples():
@@ -97,12 +117,14 @@ def test_orthogonality_both_ways(q):
 @pytest.mark.parametrize("q", [5, 8, 12, 36])
 def test_power_to_order_is_principal(q):
     phi = len(character_group(q))
+    units = _units(q)
     for chi in character_group(q):
         assert phi % chi.order == 0
-        acc = principal_character(q)
+        assert _power_product(chi, chi.order, principal_character(q)).is_principal
+        acc = np.ones(units.size, dtype=complex)
         for _ in range(chi.order):
-            acc = acc * chi
-        assert acc.is_principal
+            acc = acc * chi.values(units)
+        assert np.max(np.abs(acc - 1)) < 1e-12
 
 
 def test_order_of_examples():
@@ -144,18 +166,56 @@ def _bits(values) -> list[bytes]:
     return [np.complex128(v).tobytes() for v in values]
 
 
+@lru_cache(maxsize=None)
+def _brute_logs(q):
+    """Each unit mod q mapped to its exponents against the lifted
+    generators, by walking every exponent tuple."""
+    group = _unit_group(q)
+    logs = {}
+    for exps in itertools.product(*(range(d) for d in group.orders)):
+        r = 1 % q
+        for g, l in zip(group.lifted_generators, exps):
+            r = r * pow(g, l, q) % q
+        logs[r] = exps
+    return logs
+
+
+def _exact_chi(chi, n):
+    """chi(n) from the Fraction of a full turn: exact at the quarter turns,
+    else one complex exponential of the correctly rounded fraction."""
+    logs = _brute_logs(chi.modulus).get(n % chi.modulus)
+    if logs is None:
+        return 0j
+    turn = sum(
+        (Fraction(m * l, d) for m, l, d in zip(chi.exponents, logs, chi.group.orders)),
+        Fraction(0),
+    ) % 1
+    num, den = turn.numerator, turn.denominator
+    if 4 * num % den == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * num // den]
+    return cmath.exp(2j * cmath.pi * (num / den))
+
+
 def test_value_table_is_chi_bitwise():
+    # q * 2^70 + r lies past 2^63 and is r mod q
     for q in range(1, 61):
+        big = q * 2**70
         for chi in character_group(q):
-            assert _bits(chi.value_table()) == _bits(chi(r) for r in range(q))
+            want = _bits(_exact_chi(chi, r) for r in range(q))
+            assert _bits(chi.value_table()) == want
+            assert _bits(chi(r) for r in range(q)) == want
+            assert _bits(chi(big + r) for r in range(q)) == want
     q = 99_000  # 2^3 3^2 5^3 11: both 2-power generators and four odd components
+    big = q * 2**70
     chars = character_group(q)
     rng = np.random.default_rng(7)
     residues = rng.integers(0, q, 400).tolist()
     for index in (0, 1, *rng.integers(2, len(chars), 6).tolist()):
         chi = chars[index]
-        table = chi.value_table()
-        assert _bits(table[residues]) == _bits(chi(r) for r in residues)
+        want = _bits(_exact_chi(chi, r) for r in residues)
+        assert _bits(chi.value_table()[residues]) == want
+        assert _bits(chi(r) for r in residues) == want
+        assert _bits(chi(big + r) for r in residues) == want
 
 
 def test_values_at_any_integer_match_table_and_chi():
@@ -169,6 +229,14 @@ def test_values_at_any_integer_match_table_and_chi():
         assert _bits(chi.values(np.array(ps))) == _bits(chi(p) for p in ps)
 
 
+def test_values_reads_every_integer_dtype_that_fits_int64():
+    chi = character_group(7)[1]
+    want = _bits(chi.values(np.arange(100)))
+    for dtype in (np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32):
+        assert _bits(chi.values(np.arange(100, dtype=dtype))) == want, dtype
+    assert _bits(chi.values(list(range(100)))) == want
+
+
 def test_dlog_inverts_the_generators():
     # chi(n) and value_table read the same discrete-log table, so their
     # agreement does not check it; rebuilding each unit from its logs does.
@@ -177,7 +245,7 @@ def test_dlog_inverts_the_generators():
         for r in range(q):
             if gcd(r, q) != 1:
                 continue
-            logs = group.dlog_of(r)
+            logs = [l for comp in group.components for l in comp.dlog[:, r % comp.modulus].tolist()]
             assert all(0 <= l < d for l, d in zip(logs, group.orders))
             product = 1 % q
             for g, l in zip(group.lifted_generators, logs):

@@ -35,6 +35,8 @@ BELOW_ONE = "modulus q must be >= 1"
 NOT_INTEGER_A = "residue a must be an integer, got"
 NARROWEST = SmoothingKernel(lo=1.0, hi=1.0 + 1e-15)
 TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.000000000000001\)"
+CHI = character_group(7)[1]  # index 1 of the order-6 group: chi(-1) = -1
+NOT_INTEGER_ARRAY = "^ns must be an integer array within int64, got dtype"
 
 
 @pytest.mark.parametrize(
@@ -64,10 +66,6 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         (lambda tmp: run_suite("nope", 1), "suite must be one of"),
         (lambda tmp: run_suite("calculus", 1, seed_base=-5), "seed base must be >= 0, got -5"),
         (lambda tmp: character_group(0), BELOW_ONE),
-        (
-            lambda tmp: character_group(5)[1] * character_group(7)[1],
-            "can only multiply characters to the same modulus",
-        ),
         (lambda tmp: SmoothCountQuery(100, 10, 3.5), f"{NOT_INTEGER} 3.5"),
         (lambda tmp: SmoothCountQuery(100, 10, 3.5, 1), f"{NOT_INTEGER} 3.5"),
         (lambda tmp: SmoothCountQuery(100, 10, True), f"{NOT_INTEGER} True"),
@@ -131,6 +129,18 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         (lambda tmp: count_smooth_bigx((2, 10.5), 3), "exponent must be an integer, got 10.5"),
         (lambda tmp: ennola_estimate((2, 100.5), 3), "exponent must be an integer, got 100.5"),
         (lambda tmp: check_majorant(2.5, ONE, ONE, ONE, 1.0), "n must be an integer, got 2.5"),
+        # a character is evaluated at integers only: a scalar by check_integer,
+        # an array by its dtype, which must cast safely to int64
+        (lambda tmp: CHI(2.5), r"^n must be an integer, got 2\.5$"),
+        (lambda tmp: CHI(10.0), r"^n must be an integer, got 10\.0$"),
+        (lambda tmp: CHI(True), "^n must be an integer, got True$"),
+        (lambda tmp: CHI.values(np.array([3.9])), f"{NOT_INTEGER_ARRAY} float64$"),
+        (lambda tmp: CHI.values(np.array([True])), f"{NOT_INTEGER_ARRAY} bool$"),
+        (
+            lambda tmp: CHI.values(np.array([2**64 - 1], dtype=np.uint64)),
+            f"{NOT_INTEGER_ARRAY} uint64$",
+        ),
+        (lambda tmp: CHI.values([2**70]), f"{NOT_INTEGER_ARRAY} object$"),
     ],
     ids=[
         "residue_not_below_q", "is_smooth_zero", "bigx_base_1", "bigx_exponent_0",
@@ -138,7 +148,7 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         "majorant_n_0", "majorant_unequal_lengths", "majorant_T_0", "majorant_T_nan",
         "majorant_lambdas_nan", "majorant_a_nan", "majorant_big_a_nan", "calculus_t_nan",
         "chain_p_1", "chain_alpha_0", "suite_unknown", "suite_seed_base_negative",
-        "character_group_0", "characters_of_two_moduli",
+        "character_group_0",
         "query_q_3.5", "query_q_3.5_residue_1", "query_q_true", "smooth_values_q_2.5",
         "bigx_q_2.5", "ennola_q_2.5", "saddle_q_2.5", "power_subgroup_q_7.5",
         "character_group_7.0", "character_group_true", "principal_character_7.0", "phi_nan",
@@ -157,6 +167,8 @@ TOO_NARROW = r"kernel transition too narrow for float arithmetic \(lo=1.0, hi=1.
         "narrow_kernel_mellin", "narrow_kernel_mellin_tail", "narrow_kernel_decay_constant",
         "suite_count_2.5", "suite_seed_base_1.5", "is_smooth_10.0", "is_smooth_true",
         "bigx_base_2.5", "bigx_exponent_10.5", "ennola_exponent_100.5", "majorant_n_2.5",
+        "chi_call_2.5", "chi_call_10.0", "chi_call_true", "chi_values_float", "chi_values_bool",
+        "chi_values_uint64", "chi_values_past_int64",
     ],
 )
 def test_refused_with_value_error(tmp_path, call, message):
