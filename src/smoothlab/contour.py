@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dirichlet import DirichletCharacter, principal_character
+from .errors import check_smoothness_bound, check_threshold
 from .kernel import _LOG_FLOAT_MAX, SmoothingKernel, panel_grid
 from .lseries import euler_product, euler_product_many
 from .saddle import saddle_alpha
@@ -161,10 +162,8 @@ def contour_psi(
     costs one call, a conjugate pair two between them, and the result for
     conj chi is the conjugate of the result for chi, bit for bit.
     """
-    if not 1 <= x < math.inf:
-        raise ValueError("threshold x must be finite and >= 1")
-    if not 2 <= y < math.inf:
-        raise ValueError("smoothness bound y must be finite and >= 2")
+    check_threshold(x)
+    check_smoothness_bound(y)
     c, mid, offsets, phase, tail_bound, half_sums = _cell(kernel, x, y, chi.modulus, spec)
     sums = []
     for char in (chi, chi.conjugate()):

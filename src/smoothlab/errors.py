@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and modulus rules.
+"""Exception types shared across the package, and the rules for integers, q, x and y.
 
 An input outside an entry's domain raises ValueError.  The package's own
 types say why a valid input has no answer: a count past its enumeration or
@@ -6,6 +6,7 @@ lattice bound, an Euler factor near a zero, a solver that did not settle,
 or a file that could not be written.
 """
 
+import math
 import numbers
 
 
@@ -40,3 +41,15 @@ def check_modulus(q) -> None:
     check_integer(q, "modulus q")
     if q < 1:
         raise ValueError("modulus q must be >= 1")
+
+
+def check_smoothness_bound(y) -> None:
+    """Refuse a smoothness bound y that is not finite and >= 2."""
+    if not 2 <= y < math.inf:
+        raise ValueError("smoothness bound y must be finite and >= 2")
+
+
+def check_threshold(x) -> None:
+    """Refuse a threshold x that is None, or not finite and >= 1."""
+    if x is None or not 1 <= x < math.inf:
+        raise ValueError("threshold x must be finite and >= 1")

@@ -24,7 +24,7 @@ import numpy as np
 from .dirichlet import MAX_MODULUS
 from .errors import ExportError, check_integer, check_modulus
 from .saddle import saddle_alpha
-from .smooth_core import SmoothCountQuery, smooth_values
+from .smooth_core import SmoothCountQuery, _by_class
 
 # Coset mode's subgroup H is the squares in (Z/qZ)*.
 COSET_POWER = 2
@@ -116,22 +116,15 @@ class UnsmoothingRecord:
 def _point_summary(
     x: float, y: float, q: int, epsilons: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
-    """Read-only (residues, counts, total, kept) from one enumeration of the
-    y-smooth n <= x coprime to q: the sorted residues mod q that occur, the
-    class count of each, the total, and per epsilon the count of n at or
-    below floor((1 - eps) x).
-
-    Only counts are kept, and only for the residues that occur, so an entry
-    never grows with q; the three experiment modes at a point share it.
-    """
-    values = smooth_values(x, y, q)
-    bins = np.bincount(values % q, minlength=q)
-    residues = np.flatnonzero(bins)
-    counts = bins[residues]
-    residues.setflags(write=False)
+    """Read-only (residues, counts, total, kept) from the class table at x: the
+    residues that occur, their run lengths, the total, and per epsilon the
+    count of n <= floor((1 - eps) x).  Only counts are kept, so an entry never
+    grows with q; the three experiment modes at a point share it."""
+    grouped, residues, starts = _by_class(x, y, q)
+    counts = np.diff(starts, append=grouped.size)
     counts.setflags(write=False)
-    kept = tuple(int(np.count_nonzero(values <= math.floor((1 - eps) * x))) for eps in epsilons)
-    return residues, counts, values.size, kept
+    kept = tuple(int(np.count_nonzero(grouped <= math.floor((1 - eps) * x))) for eps in epsilons)
+    return residues, counts, grouped.size, kept
 
 
 def _class_grid(config: ExperimentConfig):

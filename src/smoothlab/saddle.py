@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, check_modulus
+from .errors import NoConvergenceError, check_modulus, check_smoothness_bound
 from .primes import primes_upto
 
 NEWTON_CAP = 200
@@ -37,8 +37,7 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
     x >= y >= 2; the recorded residual is |sum - log x| at the returned point.
     A modulus q, when given, must be an integer >= 1.
     """
-    if not 2 <= y < math.inf:
-        raise ValueError("smoothness bound y must be finite and >= 2")
+    check_smoothness_bound(y)
     if not y <= x < math.inf:
         raise ValueError("need finite x >= y")
     if q is not None:

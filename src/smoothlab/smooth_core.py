@@ -19,7 +19,13 @@ from math import gcd
 import numpy as np
 
 from .dirichlet import DirichletCharacter
-from .errors import ThresholdExceededError, check_integer, check_modulus
+from .errors import (
+    ThresholdExceededError,
+    check_integer,
+    check_modulus,
+    check_smoothness_bound,
+    check_threshold,
+)
 from .kernel import SmoothingKernel
 from .primes import primes_upto
 
@@ -51,13 +57,11 @@ class SmoothCountQuery:
     a: int | None = None
 
     def __post_init__(self) -> None:
-        if not 2 <= self.y < math.inf:
-            raise ValueError("smoothness bound y must be finite and >= 2")
+        check_smoothness_bound(self.y)
         check_modulus(self.q)
         if self.q > np.iinfo(np.int64).max:
             raise ValueError(f"modulus q={self.q} exceeds the int64 bound 2^63 - 1")
-        if self.x is None or not 1 <= self.x < math.inf:
-            raise ValueError("threshold x must be finite and >= 1")
+        check_threshold(self.x)
         if self.a is not None:
             check_integer(self.a, "residue a")
             if not (0 <= self.a < self.q):
@@ -118,12 +122,36 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
     return np.array(vals, dtype=np.int64)
 
 
+def _by_class(limit: float, y: float, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (grouped, residues, starts) from one enumeration of the y-smooth
+    n <= limit coprime to q: the values grouped by class mod q, in generation
+    order inside each class; the sorted residues that occur; each class's run
+    start.  A class count is its run length, and no array outgrows the values."""
+    vals = smooth_values(limit, y, q)
+    classes = vals % q
+    # a stable sort of keys of at most 16 bits is a radix sort, with the same order
+    order = np.argsort(classes.astype(np.min_scalar_type(q - 1)), kind="stable")
+    runs = classes[order]
+    starts = np.flatnonzero(np.diff(runs, prepend=-1))
+    table = vals[order], runs[starts], starts
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _run_of(residues: np.ndarray, a: int) -> int | None:
+    """The index of residue a in the sorted residues, or None if no n lies in its class."""
+    i = int(np.searchsorted(residues, a))
+    return i if i < residues.size and residues[i] == a else None
+
+
 def count_smooth(query: SmoothCountQuery) -> SmoothCount:
     """Exact |{n <= x : n y-smooth, gcd(n, q) = 1}|, or the class n = a (mod q)."""
-    vals = smooth_values(query.x, query.y, query.q)
+    grouped, residues, starts = _by_class(query.x, query.y, query.q)
     if query.a is None:
-        return SmoothCount(vals.size)
-    return SmoothCount(int(np.count_nonzero(vals % query.q == query.a)))
+        return SmoothCount(grouped.size)
+    i = _run_of(residues, query.a)
+    return SmoothCount(0 if i is None else int(np.diff(starts, append=grouped.size)[i]))
 
 
 def count_smooth_weighted(
@@ -151,9 +179,8 @@ def count_smooth_weighted(
     if chi is not None:
         return SmoothCount(complex(chi.values(residues) @ sums))
     if query.a is not None:
-        i = int(np.searchsorted(residues, query.a))
-        hit = i < residues.size and residues[i] == query.a
-        return SmoothCount(float(sums[i]) if hit else 0.0)
+        i = _run_of(residues, query.a)
+        return SmoothCount(0.0 if i is None else float(sums[i]))
     return SmoothCount(float(np.sum(sums)))
 
 
@@ -161,21 +188,11 @@ def count_smooth_weighted(
 def _class_weights(
     x: float, y: float, q: int, kernel: SmoothingKernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (residues, sums): the sorted residues a (mod q) of the
-    y-smooth n <= kernel.hi * x, and W_a = sum of phi(n/x) over each class.
-
-    Residues with no smooth n are left out, so both arrays are as long as
-    the number of classes that occur, at most the number of smooth values.
-    """
-    vals = smooth_values(kernel.hi * x, y, q)
-    classes = vals % q
-    order = np.argsort(classes, kind="stable")
-    runs = classes[order]
-    starts = np.flatnonzero(np.diff(runs, prepend=-1))
-    residues = runs[starts]
+    """Read-only (residues, sums): the class table's residues at the limit
+    kernel.hi * x, and W_a = sum of phi(n/x) over each residue's run."""
+    grouped, residues, starts = _by_class(kernel.hi * x, y, q)
     # reduceat sums each class's run of terms pairwise, as np.sum does
-    sums = np.add.reduceat(kernel.phi_many(vals[order] / x), starts)
-    residues.setflags(write=False)
+    sums = np.add.reduceat(kernel.phi_many(grouped / x), starts)
     sums.setflags(write=False)
     return residues, sums
 
@@ -188,8 +205,7 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
     check_integer(exponent, "exponent")
     if base < 2 or exponent < 1:
         raise ValueError("bigx needs base >= 2 and exponent >= 1")
-    if not 2 <= y < math.inf:
-        raise ValueError("smoothness bound y must be finite and >= 2")
+    check_smoothness_bound(y)
     check_modulus(q)
     try:
         budget = exponent * math.log(base)

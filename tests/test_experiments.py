@@ -228,12 +228,13 @@ def test_three_modes_share_one_enumeration_per_point(monkeypatch):
         experiments._point_summary.cache_clear()
         fresh.append(run(cfg))
     calls = []
+    enumerate_once = smooth_core.smooth_values
 
     def counting(*args):
         calls.append(args)
-        return smooth_core.smooth_values(*args)
+        return enumerate_once(*args)
 
-    monkeypatch.setattr(experiments, "smooth_values", counting)
+    monkeypatch.setattr(smooth_core, "smooth_values", counting)
     experiments._point_summary.cache_clear()
     assert [run(cfg) for run in RUNNERS] == fresh
     assert sorted(calls) == sorted((x, y, q) for x in cfg.xs for y in cfg.ys for q in cfg.qs)

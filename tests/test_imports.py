@@ -98,3 +98,34 @@ def test_package_reads_no_environment():
         if _references(ast.parse(path.read_text(encoding="utf-8")))[name]
     ]
     assert not reads, "environment reads:\n" + "\n".join(reads)
+
+
+def _readers(tree: ast.Module, name: str) -> set[str]:
+    """The innermost function around each read or call of name, as a plain
+    name or an attribute; "" for module level."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_class_table_enumerates():
+    # every exact count, class count and class weight reads one grouping of
+    # one enumeration: no package function but smooth_core._by_class names
+    # smooth_values, so none other can call it
+    readers = {
+        (path.name, owner)
+        for path in sorted((ROOT / "src" / "smoothlab").glob("*.py"))
+        for owner in _readers(ast.parse(path.read_text(encoding="utf-8")), "smooth_values")
+    }
+    assert readers == {("smooth_core.py", "_by_class")}

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from smoothlab import (
     is_smooth,
     saddle_alpha,
     smooth_values,
+    unsmoothing_ratio,
 )
 from smoothlab.errors import ThresholdExceededError
-from smoothlab import primes, smooth_core
+from smoothlab import experiments, primes, smooth_core
 from smoothlab.primes import MAX_SIEVE, primes_upto
 from smoothlab.smooth_core import MAX_ENUMERATION, _class_weights
 
@@ -283,9 +285,24 @@ def test_class_weights_are_read_only_and_sparse():
 
 @pytest.mark.parametrize("q", [10**12 + 39, 2**40])
 def test_class_weights_cost_nothing_in_the_modulus(q):
-    # the cache holds only the residues that occur, so a modulus far past
-    # any table bound costs no more than q = 1
+    # the class table and the caches hold only the residues that occur, so a
+    # modulus far past any table bound costs no more than q = 1, also while
+    # an entry is built
     x, y = 100.0, 5.0
+    experiments._point_summary.cache_clear()
+    tracemalloc.start()
+    try:
+        ratio = unsmoothing_ratio(x, y, q, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    below = brute_smooth_list(x, y, q)
+    kept = sum(n <= math.floor(0.9 * x) for n in below)
+    assert ratio == (len(below) - kept) / len(below)
+    for a in (1, 27, 7, q - 1):
+        got = count_smooth(SmoothCountQuery(x=x, y=y, q=q, a=a)).value
+        assert got == sum(n % q == a for n in below)
     ns = brute_smooth_list(KERNEL.hi * x, y, q)
     for a in (1, 27, 7, q - 1):
         got = count_smooth_weighted(SmoothCountQuery(x=x, y=y, q=q, a=a), KERNEL).value
@@ -296,6 +313,26 @@ def test_class_weights_cost_nothing_in_the_modulus(q):
     assert got == pytest.approx(math.fsum(KERNEL.phi(n / x) for n in ns), abs=1e-12)
     residues, _ = _class_weights(x, y, q, KERNEL)
     assert residues.size == len(ns)
+
+
+@given(
+    x=st.floats(min_value=1.0, max_value=3000.0),
+    y=st.floats(min_value=2.0, max_value=40.0),
+    q=st.integers(min_value=1, max_value=12) | st.just(10**12 + 39),
+)
+def test_class_table_runs_are_the_brute_force_classes(x, y, q):
+    grouped, residues, starts = smooth_core._by_class(x, y, q)
+    generated = smooth_values(x, y, q).tolist()
+    ns = brute_smooth_list(x, y, q)
+    assert residues.tolist() == sorted({n % q for n in ns})
+    runs = [run.tolist() for run in np.split(grouped, starts[1:])]
+    for a, run in zip(residues.tolist(), runs):
+        assert run == [n for n in generated if n % q == a]  # generation order kept
+        assert sorted(run) == [n for n in ns if n % q == a]
+    lengths = dict(zip(residues.tolist(), map(len, runs)))
+    units = [a for a in range(q) if math.gcd(a, q) == 1] if q <= 12 else [*lengths, q - 1]
+    for a in units:
+        assert count_smooth(SmoothCountQuery(x=x, y=y, q=q, a=a)).value == lengths.get(a, 0)
 
 
 def test_weighted_modulus_mismatch():
