@@ -14,7 +14,10 @@ A(chi) + conj A(conj chi), where A is the sum over that half grid.
 
 Everything but L depends on the cell (x, y, q) and the spec alone, not on
 the character: the abscissa, the half grid, the weighted phase
-weight * mellin(s) * x^s / 2pi on it, and the tail bound.  It is computed
+weight * mellin(s) * x^s / 2pi on it, the tail bound, and the prime table of
+the Euler products on the half grid (the primes p <= y coprime to q, the
+p^-it of the grid, kept for at most 2^16 (prime, row) terms, and the offset
+spins), so a character adds only its factor chi(p) p^-c.  It is computed
 once per cell (_cell) and shared by all characters mod q, together with a
 memo of each character's half sums, so over a cell every character's Euler
 products are formed once, on the half grid: a real character serves itself
@@ -34,9 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .dirichlet import DirichletCharacter, principal_character
-from .errors import check_smoothness_bound, check_threshold
+from .errors import check_smoothness_bound, check_threshold, check_truncation_height
 from .kernel import _LOG_FLOAT_MAX, SmoothingKernel, panel_grid
-from .lseries import euler_product, euler_product_many
+from .lseries import _prime_table, euler_product, euler_product_many
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, count_smooth_weighted
 
@@ -57,8 +60,7 @@ class ContourSpec:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.T < math.inf:
-            raise ValueError("truncation height T must be finite and >= 1")
+        check_truncation_height(self.T)
         if self.c is not None and not 0 < self.c < math.inf:
             raise ValueError("abscissa must be finite and positive")
 
@@ -85,14 +87,14 @@ class ContourResult:
 @lru_cache(maxsize=8)
 def _cell(
     kernel: SmoothingKernel, x: float, y: float, q: int, spec: ContourSpec
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float, dict]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float, tuple, dict]:
     """What every character of a cell shares: the abscissa c, the panel
     midpoints of [0, T] and the Gauss offsets of the full- and half-order
     rules side by side (_line_grid), the (panel, offset) phase
     weight * mellin(s) * x^s / 2pi at s = c + i(mid + offset), the tail
-    bound (arrays read-only), and the memo of half sums that contour_psi
-    fills: character exponents -> the sum of phase * L over each rule's
-    columns."""
+    bound, the prime table of euler_product_many on that grid (arrays
+    read-only), and the memo of half sums that contour_psi fills: character
+    exponents -> the sum of phase * L over each rule's columns."""
     c = spec.c if spec.c is not None else saddle_alpha(x, y).alpha
     # the tail bound first: it refuses an abscissa past the kernel's float
     # range, and then one past the contour's, before any grid is built
@@ -106,7 +108,7 @@ def _cell(
     phase *= scale
     for arr in (mid, offsets, phase):
         arr.setflags(write=False)
-    return c, mid, offsets, phase, tail_bound, {}
+    return c, mid, offsets, phase, tail_bound, _prime_table(q, y, mid, offsets), {}
 
 
 def _line_grid(
@@ -155,20 +157,21 @@ def contour_psi(
     returned value (see ContourResult).  Both rules read one (panel, offset)
     grid on [0, T], and each rule's value is A(chi) + conj A(conj chi), with
     A the sum of phase * L over that half grid.  The abscissa, the weighted
-    phase weight * mellin(s) * x^s / 2pi, the tail bound and the memo of the
-    sums A come from one cache entry per (kernel, x, y, q, spec), which
-    every character mod q shares; a character whose A is not in the memo
-    adds one euler_product_many call on the half grid, so a real character
-    costs one call, a conjugate pair two between them, and the result for
-    conj chi is the conjugate of the result for chi, bit for bit.
+    phase weight * mellin(s) * x^s / 2pi, the tail bound, the prime table of
+    the Euler products and the memo of the sums A come from one cache entry
+    per (kernel, x, y, q, spec), which every character mod q shares; a
+    character whose A is not in the memo adds one euler_product_many call on
+    the half grid, so a real character costs one call, a conjugate pair two
+    between them, and the result for conj chi is the conjugate of the
+    result for chi, bit for bit.
     """
     check_threshold(x)
     check_smoothness_bound(y)
-    c, mid, offsets, phase, tail_bound, half_sums = _cell(kernel, x, y, chi.modulus, spec)
+    c, mid, offsets, phase, tail_bound, table, half_sums = _cell(kernel, x, y, chi.modulus, spec)
     sums = []
     for char in (chi, chi.conjugate()):
         if char.exponents not in half_sums:
-            terms = phase * euler_product_many(c, mid, char, y, offsets)
+            terms = phase * euler_product_many(c, mid, char, y, offsets, table)
             half_sums[char.exponents] = [
                 complex(np.sum(rule)) for rule in np.split(terms, [DEFAULT_ORDER], axis=1)
             ]
@@ -187,8 +190,7 @@ def truncation_bound(
 
     An abscissa past the kernel's float range is refused by mellin_tail, and
     then one whose x^c hi^c passes it by _x_power, both with a ValueError."""
-    if not 1 <= T < math.inf:
-        raise ValueError("need finite T >= 1")
+    check_truncation_height(T)
     tail = kernel.mellin_tail(c, T)
     return _x_power(x, c, kernel) * chi0_value * tail
 

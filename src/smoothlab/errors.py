@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules for integers, q, x and y.
+"""Exception types shared across the package, and the rules for integers, q, x, y and T.
 
 An input outside an entry's domain raises ValueError.  The package's own
 types say why a valid input has no answer: a count past its enumeration or
@@ -53,3 +53,9 @@ def check_threshold(x) -> None:
     """Refuse a threshold x that is None, or not finite and >= 1."""
     if x is None or not 1 <= x < math.inf:
         raise ValueError("threshold x must be finite and >= 1")
+
+
+def check_truncation_height(T) -> None:
+    """Refuse a contour truncation height T that is not finite and >= 1."""
+    if not 1 <= T < math.inf:
+        raise ValueError("truncation height T must be finite and >= 1")

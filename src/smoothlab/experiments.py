@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dirichlet import MAX_MODULUS
-from .errors import ExportError, check_integer, check_modulus
+from .errors import ExportError, check_integer, check_modulus, check_smoothness_bound
 from .saddle import saddle_alpha
 from .smooth_core import SmoothCountQuery, _by_class
 
@@ -54,8 +54,8 @@ class ExperimentConfig:
             raise ValueError(f"modulus {max(self.qs)} exceeds the table bound {MAX_MODULUS}")
         if not all(math.isfinite(x) for x in self.xs):
             raise ValueError("every threshold x must be finite")
-        if not all(2 <= y < math.inf for y in self.ys):
-            raise ValueError("every smoothness bound y must be finite and >= 2")
+        for y in self.ys:
+            check_smoothness_bound(y)
         if max(self.ys) > min(self.xs):
             raise ValueError("every grid point must satisfy y <= x")
         if any(not 0 <= e <= 1 for e in self.epsilons):

@@ -8,6 +8,7 @@ logarithm and logarithmic derivative are carried alongside the value.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,14 +16,17 @@ import numpy as np
 
 from .dirichlet import DirichletCharacter
 from .errors import NearPoleError
-from .primes import primes_upto
+from .primes import _coprime_primes
 
 POLE_GUARD = 1e-12
-# (prime, row, offset) terms per block of euler_product_many.  Only one
-# block's arrays are alive at once, so memory does not grow with the number
-# of rows, and at 1 MB of complex per array a block stays in cache: at
-# y = 10^4 this runs twice as fast as blocks of a fixed 16 rows.
+# (prime, row) terms of the row exponentials p^(-i t) that a prime table
+# keeps, 1 MiB of complex: at most 167 x 295 = 49 265 on the contour
+# benchmark's cells, while an uncapped table would hold 72 MB at
+# (x, y) = (1e8, 1e5).  Rows past it are formed per call.
 _BLOCK = 1 << 16
+# (row, offset) terms per accumulator of euler_product_many.  With its term
+# buffer it stays in cache, and neither grows with the number of rows.
+_ACCUMULATOR = 1 << 13
 # Relative slack on a bound of |terms|, for the rounding of the computed terms.
 _BOUND_SLACK = 1e-15
 
@@ -32,14 +36,6 @@ class EulerProductValue:
     value: complex
     log_value: complex
     log_deriv: complex
-
-
-def _support(chi: DirichletCharacter, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Primes p <= y with chi(p) != 0, and the corresponding character values."""
-    ps = primes_upto(y)
-    cs = chi.values(ps)
-    keep = cs != 0
-    return ps[keep], cs[keep]
 
 
 def _guarded(
@@ -73,7 +69,8 @@ def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProduct
     s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0):
         raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
-    ps, cs = _support(chi, y)
+    ps = _coprime_primes(y, chi.modulus)
+    cs = chi.values(ps)
     if ps.size == 0:
         return EulerProductValue(1 + 0j, 0j, 0j)
     terms, factors = _factor_matrices(s, ps, cs)
@@ -83,36 +80,65 @@ def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProduct
     return EulerProductValue(value, log_value, log_deriv)
 
 
+def _prime_table(
+    q: int, y: float, ts: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What euler_product_many's grid (ts, offsets) shares across the
+    characters mod q, read-only: the primes p <= y not dividing q, their
+    logs, the offset spins p^(-i offsets) as (prime, offset), and the row
+    exponentials p^(-i ts) as (prime, row) for the first _BLOCK // len(ps) rows."""
+    ps = _coprime_primes(y, q)
+    log_p = np.log(ps)
+    spin = np.exp(-1j * np.multiply.outer(log_p, offsets))
+    head = np.exp(-1j * np.multiply.outer(log_p, ts[: _BLOCK // max(1, ps.size)]))
+    table = ps, log_p, spin, head
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def euler_product_many(
-    c: float, ts: np.ndarray, chi: DirichletCharacter, y: float, offsets: np.ndarray
+    c: float,
+    ts: np.ndarray,
+    chi: DirichletCharacter,
+    y: float,
+    offsets: np.ndarray,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Values at s = c + i(ts[k] + offsets[i]), as a (len(ts), len(offsets)) array.
 
-    p^-s = p^-(c + i ts[k]) * p^(-i offsets[i]) separates, so the row and the
-    offset exponentials are formed once and each (node, prime) term costs one
-    complex multiply.  The rows are walked in blocks of about _BLOCK terms,
-    laid out prime-major, so the product over the primes multiplies whole
-    (row, offset) planes together.  Every term of prime p has modulus
-    |chi(p)| p^-c, so the pole guard scans the factors only when
-    1 - max_p |chi(p)| p^-c comes within POLE_GUARD of zero (c below about
-    1e-12).
+    p^-s = p^-c * p^(-i ts[k]) * p^(-i offsets[i]) separates, and only the
+    factor chi(p) p^-c depends on the character.  The rest is the table, which
+    must be _prime_table(chi.modulus, y, ts, offsets) and is built here when
+    None, so a caller that walks the characters of one grid builds it once.
+    Each prime's rows, from the table or past its cap formed here, are
+    scaled by chi(p) p^-c and spun by the offsets, and the factors are
+    multiplied in prime order into (row, offset) accumulators of
+    _ACCUMULATOR terms, as np.prod over the primes would, so every factor
+    and product has the same bits for any accumulator size.  Every term of
+    prime p has modulus |chi(p)| p^-c, so the pole guard scans the factors
+    only when 1 - max_p |chi(p)| p^-c comes within POLE_GUARD of zero (c
+    below about 1e-12).
     """
     ts = np.asarray(ts, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     if not (0 < c < math.inf and np.isfinite(ts).all() and np.isfinite(offsets).all()):
         raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
-    ps, cs = _support(chi, y)
-    log_p = np.log(ps)
-    spin = np.exp(-1j * np.multiply.outer(log_p, offsets))[:, None, :]  # (prime, 1, offset)
-    scale = (cs * np.exp(-c * log_p))[:, None]
+    if table is None:
+        table = _prime_table(chi.modulus, y, ts, offsets)
+    ps, log_p, spin, head = table
+    scale = chi.values(ps) * np.exp(-c * log_p)
     max_modulus = float(np.max(np.abs(scale), initial=0.0))
-    out = np.empty((ts.size, offsets.size), dtype=complex)
-    step = max(1, _BLOCK // max(1, spin.size))
-    for k in range(0, ts.size, step):
-        rows = scale * np.exp(-1j * np.multiply.outer(log_p, ts[k : k + step]))
-        terms = rows[:, :, None] * spin  # (prime, row, offset)
-        # the factors overwrite the terms: with one more block-sized
-        # temporary, malloc handed the heap top back to the system after
-        # every block, and faulting it in again doubled this loop's time
-        out[k : k + step] = np.prod(_guarded(terms, out=terms, max_modulus=max_modulus), axis=0)
-    return 1.0 / out
+    out = np.ones((ts.size, offsets.size), dtype=complex)
+    kept = head.shape[1]
+    step = max(1, _ACCUMULATOR // max(1, offsets.size))
+    buffer = np.empty((min(step, ts.size), offsets.size), dtype=complex)
+    # no accumulator straddles the table's last row
+    for k in itertools.chain(range(0, kept, step), range(kept, ts.size, step)):
+        stop = min(k + step, kept if k < kept else ts.size)
+        acc, terms = out[k:stop], buffer[: stop - k]
+        for s, lp, spin_p, head_p in zip(scale, log_p, spin, head):
+            rows = head_p[k:stop] if k < kept else np.exp(-1j * (lp * ts[k:stop]))
+            np.multiply((s * rows)[:, None], spin_p, out=terms)
+            acc *= _guarded(terms, out=terms, max_modulus=max_modulus)
+    return np.divide(1.0, out, out=out)

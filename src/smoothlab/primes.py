@@ -31,6 +31,13 @@ def primes_upto(y: float) -> np.ndarray:
     return _PRIMES[: np.searchsorted(_PRIMES, int(y), side="right")]
 
 
+def _coprime_primes(y: float, q: int) -> np.ndarray:
+    """The primes p <= y that do not divide q, in increasing order, as a new
+    int64 array; each q % p is taken on Python ints, so q may pass 2^63."""
+    ps = primes_upto(y)
+    return ps[[q % p != 0 for p in ps.tolist()]]
+
+
 def _grow(n: int) -> None:
     global _LIMIT, _PRIMES
     with _LOCK:

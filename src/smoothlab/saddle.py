@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError, check_modulus, check_smoothness_bound
-from .primes import primes_upto
+from .primes import _coprime_primes
 
 NEWTON_CAP = 200
 BRACKET_LO = 1e-6
@@ -42,12 +42,11 @@ def saddle_alpha(x: float, y: float, q: int | None = None) -> SaddlePoint:
         raise ValueError("need finite x >= y")
     if q is not None:
         check_modulus(q)
-    plist = [p for p in primes_upto(y).tolist() if q is None or q % p != 0]
-    if not plist:
+    logp = np.log(_coprime_primes(y, 1 if q is None else q))
+    if not logp.size:
         raise NoConvergenceError(
             f"no primes <= {y} coprime to {q}; saddle equation has no solution"
         )
-    logp = np.log(np.array(plist, dtype=float))
     log_x = math.log(x)
 
     def value(a: float) -> float:

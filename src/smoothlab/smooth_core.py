@@ -27,7 +27,7 @@ from .errors import (
     check_threshold,
 )
 from .kernel import SmoothingKernel
-from .primes import primes_upto
+from .primes import _coprime_primes, primes_upto
 
 # Largest limit smooth_values enumerates; plain counts past it go to
 # count_smooth_bigx.
@@ -109,9 +109,7 @@ def smooth_values(limit: float, y: float, q: int = 1) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     vals = [1]
     # a prime above the limit only copies the list
-    for p in primes_upto(min(y, limit)).tolist():
-        if q % p == 0:
-            continue
+    for p in _coprime_primes(min(y, limit), q).tolist():
         out = []
         for v in vals:
             w = v
@@ -211,7 +209,7 @@ def _lattice_primes(bigx: tuple[int, int], y: float, q: int) -> tuple[list[int],
         budget = exponent * math.log(base)
     except OverflowError:
         budget = math.inf
-    return [p for p in primes_upto(y).tolist() if q % p != 0], budget
+    return _coprime_primes(y, q).tolist(), budget
 
 
 def count_smooth_bigx(bigx: tuple[int, int], y: float, q: int = 1) -> SmoothCount:

@@ -21,7 +21,7 @@ from smoothlab import (
 from smoothlab import contour
 from smoothlab.contour import _cell
 from smoothlab.kernel import MAX_PANELS, _pochhammer_coeffs, panel_grid
-from smoothlab.lseries import euler_product, euler_product_many
+from smoothlab.lseries import _BLOCK, _prime_table, euler_product, euler_product_many
 from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
 
@@ -108,6 +108,17 @@ def test_matches_node_by_node_products(x, y, q):
         assert abs(got.quadrature_error_estimate - abs(fine - coarse)) <= tol
 
 
+@pytest.mark.parametrize("T", [0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [lambda T: ContourSpec(T=T), lambda T: truncation_bound(0.7, T, 1.0, 1e4, KERNEL)],
+    ids=["spec", "truncation_bound"],
+)
+def test_one_truncation_height_rule(call, T):
+    with pytest.raises(ValueError, match="^truncation height T must be finite and >= 1$"):
+        call(T)
+
+
 def test_truncation_height_below_one_rejected():
     # truncation_bound needs T >= 1, so the spec refuses a smaller T before any quadrature
     with pytest.raises(ValueError, match="T must be finite and >= 1"):
@@ -172,28 +183,63 @@ def test_one_cell_entry_per_cell(monkeypatch):
     info = _cell.cache_info()
     assert (info.misses, info.hits) == (2, 5 + 3)
     assert calls == {"saddle_alpha": 2, "euler_product": 2}
-    _, mid, offsets, phase, _, _ = _cell(KERNEL, 3e3, 20.0, 5, spec)
-    assert not any(arr.flags.writeable for arr in (mid, offsets, phase))
+    _, mid, offsets, phase, _, table, _ = _cell(KERNEL, 3e3, 20.0, 5, spec)
+    assert not any(arr.flags.writeable for arr in (mid, offsets, phase, *table))
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_one_euler_grid_per_character_of_a_cell(monkeypatch, reverse):
-    calls = []
+    calls, tables = [], []
 
-    def counted(c, ts, chi, y, offsets):
+    def counted(c, ts, chi, y, offsets, table):
         calls.append(chi.exponents)
-        return euler_product_many(c, ts, chi, y, offsets)
+        return euler_product_many(c, ts, chi, y, offsets, table)
+
+    def built(q, y, ts, offsets):
+        tables.append(q)
+        return _prime_table(q, y, ts, offsets)
 
     monkeypatch.setattr(contour, "euler_product_many", counted)
+    monkeypatch.setattr(contour, "_prime_table", built)
     _cell.cache_clear()
     spec = ContourSpec(T=40.0)
     for q in (3, 5, 7, 8, 12, 13):
         chars = list(character_group(q))
         calls.clear()
+        tables.clear()
         for chi in reversed(chars) if reverse else chars:
             contour_psi(3e3, chi, 20.0, KERNEL, spec)
         # every character's half grid once; its conjugate reads the memo
         assert sorted(calls) == sorted(chi.exponents for chi in chars)
+        # and all of them read the one prime table of the cell
+        assert tables == [q]
+
+
+def _values(x, y, q):
+    _cell.cache_clear()
+    results = [contour_psi(x, chi, y, KERNEL, ContourSpec(T=160.0)) for chi in character_group(q)]
+    return [(res.value, res.quadrature_error_estimate) for res in results]
+
+
+@pytest.mark.parametrize(
+    "x,y,q",
+    [
+        *((x, y, q) for x in (1e3, 1e4, 1e5) for y in (10.0, 30.0, 100.0) for q in (3, 4, 5, 7, 8, 12)),
+        (1e5, 1e4, 3),  # 1228 primes x 294 rows: past the table's cap
+    ],
+)
+def test_prime_table_keeps_every_bit(monkeypatch, x, y, q):
+    # the criterion-1 cells, and one whose table keeps 53 of its 294 rows
+    with_table = _values(x, y, q)
+    table = _cell(KERNEL, x, y, q, ContourSpec(T=160.0))[5]
+    assert table[3].size <= _BLOCK
+    assert table[3].shape[1] == (53 if y == 1e4 else _panel_count(x, 160.0))
+
+    def table_free(c, ts, chi, y, offsets, table):
+        return euler_product_many(c, ts, chi, y, offsets)
+
+    monkeypatch.setattr(contour, "euler_product_many", table_free)
+    assert with_table == _values(x, y, q)
 
 
 def test_trivial_character_reconstruction():

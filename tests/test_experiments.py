@@ -85,6 +85,12 @@ def test_config_rejects_non_finite_x_and_small_y(xs, ys):
         ExperimentConfig(xs=xs, ys=ys, qs=(3,))
 
 
+@pytest.mark.parametrize("y", [1.5, math.nan, math.inf])
+def test_config_reads_each_y_through_the_one_rule(y):
+    with pytest.raises(ValueError, match="^smoothness bound y must be finite and >= 2$"):
+        ExperimentConfig(xs=(100.0,), ys=(5.0, y), qs=(3,))
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

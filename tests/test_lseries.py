@@ -15,7 +15,7 @@ from smoothlab import (
 )
 from smoothlab.errors import NearPoleError
 from smoothlab.kernel import panel_grid
-from smoothlab.lseries import _BLOCK, _guarded, euler_product_many
+from smoothlab.lseries import _BLOCK, _guarded, _prime_table, euler_product_many
 from smoothlab.primes import primes_upto
 from smoothlab.saddle import saddle_alpha
 
@@ -131,10 +131,10 @@ def test_vectorized_line_values():
     assert np.max(np.abs(grid - _scalar_grid(0.9, ts, chi, 40.0, offsets))) < 1e-12
 
 
-def _rows_per_block(chi, y, n_offsets):
-    # as euler_product_many sizes its blocks: _BLOCK terms over the primes with chi(p) != 0
+def _table_rows(chi, y):
+    # as _prime_table caps its row exponentials: _BLOCK terms over the primes with chi(p) != 0
     n_primes = sum(1 for p in primes_upto(y) if chi(p) != 0)
-    return max(1, _BLOCK // (n_primes * n_offsets))
+    return max(1, _BLOCK // n_primes)
 
 
 @pytest.mark.parametrize("q,index", [(5, 1), (12, 3), (1009, 17)])
@@ -142,7 +142,7 @@ def _rows_per_block(chi, y, n_offsets):
 def test_grid_matches_scalar_across_blocks(q, index, y):
     chi = character_group(q)[index]
     offsets = np.array([-0.2, 0.0, 0.13])
-    ts = np.linspace(-30.0, 30.0, _rows_per_block(chi, y, 3) + 3)  # two blocks, one short
+    ts = np.linspace(-30.0, 30.0, _table_rows(chi, y) + 3)  # the table's rows and 3 past them
     grid = euler_product_many(0.7, ts, chi, y, offsets)
     want = _scalar_grid(0.7, ts, chi, y, offsets)
     assert np.all(np.abs(grid - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -151,7 +151,7 @@ def test_grid_matches_scalar_across_blocks(q, index, y):
 def test_near_pole_guard_in_a_later_block():
     # factor 1 - 2^-s at s = 1e-14 + 0i lies within 7e-15 of zero; at the
     # other nodes (t in [1, 2]) every factor is at least 0.6 from zero
-    rows = _rows_per_block(principal_character(1), 3.0, 1)
+    rows = _table_rows(principal_character(1), 3.0)
     ts = np.linspace(1.0, 2.0, 3 * rows)
     euler_product_many(1e-14, ts, principal_character(1), 3.0, ZERO)
     ts[2 * rows + 1] = 0.0
@@ -194,6 +194,33 @@ def test_grid_matches_extended_precision_product(q, index):
     got = euler_product_many(c, mid, chi, 1000.0, offsets)
     want = _clongdouble_grid(c, mid, chi, 1000.0, offsets)
     assert float(np.max(np.abs(got - want) / np.abs(want))) <= 1e-13
+
+
+def _one_product_grid(c, ts, chi, y, offsets):
+    """The grid as 1 / np.prod over the primes of the factors
+    1 - chi(p) p^-c p^(-i t) p^(-i offset), formed row by row."""
+    ps = np.array([p for p in primes_upto(y) if chi(p) != 0])
+    log_p = np.log(ps)
+    scale = chi.values(ps) * np.exp(-c * log_p)
+    spin = np.exp(-1j * np.multiply.outer(log_p, offsets))
+    rows = [np.prod(1.0 - (scale * np.exp(-1j * (log_p * t)))[:, None] * spin, axis=0) for t in ts]
+    return 1.0 / np.array(rows)
+
+
+@pytest.mark.parametrize("y", [100.0, 1e4])
+def test_grid_keeps_the_bits_of_one_product_over_the_primes(y):
+    # the contour grid at x = 1e5, T = 160: 588 rows, several accumulators of
+    # rows; at y = 1e4 the table keeps 53 rows of 1228 primes and the other
+    # rows are formed per call
+    chi = character_group(3)[1]
+    c = saddle_alpha(1e5, y).alpha
+    mid, offsets = _contour_grid(160.0)
+    table = _prime_table(3, y, mid, offsets)
+    assert table[3].size <= _BLOCK
+    assert table[3].shape[1] == (53 if y == 1e4 else mid.size)
+    got = euler_product_many(c, mid, chi, y, offsets, table)
+    assert np.array_equal(got, euler_product_many(c, mid, chi, y, offsets))
+    assert np.array_equal(got, _one_product_grid(c, mid, chi, y, offsets))
 
 
 def test_grid_of_empty_support_is_ones():

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +94,23 @@ def test_entry_point_timer_runs_every_subcommand():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     timed = {parser.parse_args(args).command for args in timer.CLI.values()}
     assert timed == set(sub.choices)
+
+
+def test_layer_ladder_runs_two_points():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--ys", "100", "1000",
+         "--repeats", "1"],
+        env=src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report["modes"]) == {"table", "none"}
+    for mode in report["modes"].values():
+        points = mode["points"]
+        # pi(100) and pi(1000) less the prime 3, times 294 rows of 24 offsets
+        assert [(p["y"], p["primes"], p["size"]) for p in points] == [
+            (100.0, 24, 24 * 294 * 24), (1000.0, 167, 167 * 294 * 24)
+        ]
+        assert all(p["wall_s"] > 0 and p["cpu_s"] > 0 and p["tracemalloc_peak_mb"] > 0 for p in points)
+        assert len(mode["loglog_slopes"]) == 1 and math.isfinite(mode["loglog_slopes"][0])
+    assert all(p["table_s"] > 0 for p in report["modes"]["table"]["points"])
