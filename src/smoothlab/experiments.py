@@ -70,8 +70,9 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or text
+            detail = getattr(exc, "strerror", None) or exc
+            raise ValueError(f"cannot read config {path}: {detail}") from exc
         if not isinstance(raw, dict):
             raise ValueError("a config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})

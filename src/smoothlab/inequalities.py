@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoConvergenceError, check_integer
 from .kernel import SmoothingKernel, panel_grid
-from .lseries import _factor_matrices
+from .lseries import _factor_matrices, _guarded
 from .primes import primes_upto
 
 TOL_REL = 1e-6
@@ -137,6 +137,16 @@ _SEG_START = 64
 _SEG_CAP = 8192
 
 
+def _node_terms(
+    lead: np.ndarray, log_p: np.ndarray, mid: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """lead * p^(-i(mid[k] + offsets[j])), node (k, j) by prime, node-major:
+    rows p^(-i mid) times spins p^(-i offsets), not one exponential per node."""
+    rows = lead * np.exp(-1j * np.multiply.outer(mid, log_p))
+    spins = np.exp(-1j * np.multiply.outer(offsets, log_p))
+    return (rows[:, None, :] * spins).reshape(mid.size * offsets.size, log_p.size)
+
+
 def _segment_quantities(
     spec: RandomEulerSpec, F, split_at: float
 ) -> tuple[float, float, float, float, float]:
@@ -156,21 +166,26 @@ def _segment_quantities(
     ps, gs = spec.coefficients()
     head = ps <= split_at
     beta, r = spec.beta, spec.r
+    log_p = np.log(ps)
+    lead = gs * np.exp(-beta * log_p)
+    max_modulus = float(np.max(np.abs(lead), initial=0.0))
 
     prev: tuple[float, float, float] | None = None
     m = _SEG_START
     while True:
         edges, mid, offsets, weights = panel_grid(0.0, r, m, (_SEG_ORDER,))
         nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, m)
-        terms, factors = _factor_matrices(beta + 1j * nodes, ps, gs)
+        terms = _node_terms(lead, log_p, mid, offsets)
+        factors = _guarded(terms, max_modulus=max_modulus)
         # G'/G from g(p) p^-s log p / (1 - g(p) p^-s), formed in place and
         # released so that at most two node-by-prime matrices are alive.
-        terms *= np.log(ps)
+        terms *= log_p
         terms /= factors
         logderiv = -np.sum(terms, axis=1)
         del terms
-        g_full = np.prod(1.0 / factors, axis=1)
-        g_head = np.prod(1.0 / factors[:, head], axis=1)
+        inverse = np.divide(1.0, factors, out=factors)
+        g_full = np.prod(inverse, axis=1)
+        g_head = np.prod(inverse[:, head], axis=1)
         fvals = F.values(beta, nodes)
 
         lhs = abs(np.sum(weights * g_full * fvals))
@@ -230,9 +245,14 @@ def mean_square_trig(lambdas: np.ndarray, coeffs: np.ndarray, T: float) -> float
     The cross kernel is sin(2 pi T delta)/(pi delta), 2T on the diagonal, so
     the result is exact up to floating rounding (no quadrature).
     """
+    return _mean_squares(lambdas, T, coeffs)[0]
+
+
+def _mean_squares(lambdas: np.ndarray, T: float, *rows: np.ndarray) -> list[float]:
+    """mean_square_trig of each coefficient row, all read from one (n, n) kernel."""
     delta = lambdas[:, None] - lambdas[None, :]
     kernel = 2.0 * T * np.sinc(2.0 * T * delta)
-    return float(np.real(coeffs @ kernel @ np.conj(coeffs)))
+    return [float(np.real(c @ kernel @ np.conj(c))) for c in rows]
 
 
 def check_majorant(
@@ -244,9 +264,8 @@ def check_majorant(
     seed: int = 0,
 ) -> InequalityReport:
     """Mean square of a trigonometric sum against 3x that of its majorant."""
-    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas, big_a = np.asarray(lambdas, dtype=float), np.asarray(big_a, dtype=float)
     a = np.asarray(a, dtype=complex)
-    big_a = np.asarray(big_a, dtype=float)
     check_integer(n, "n")
     if not (1 <= n <= MAX_MAJORANT_TERMS):
         raise ValueError(f"need 1 <= n <= {MAX_MAJORANT_TERMS}")
@@ -260,9 +279,8 @@ def check_majorant(
         raise ValueError("majorant coefficients must be nonnegative")
     if np.any(np.abs(a) > big_a * (1 + 1e-12)):
         raise ValueError("|a_n| <= A_n violated")
-    lhs = mean_square_trig(lambdas, a, T)
-    rhs = 3.0 * mean_square_trig(lambdas, big_a.astype(complex), T)
-    return _report(lhs, rhs, seed, "majorant")
+    lhs, rhs = _mean_squares(lambdas, T, a, big_a.astype(complex))
+    return _report(lhs, 3.0 * rhs, seed, "majorant")
 
 
 # -- pointwise factor chain --------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dirichlet import DirichletCharacter
 from .errors import NearPoleError
+from .kernel import _LOG_FLOAT_MAX
 from .primes import _coprime_primes
 
 POLE_GUARD = 1e-12
@@ -65,7 +66,8 @@ def _factor_matrices(
 
 
 def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProductValue:
-    """Product, factor-wise log, and L'/L of the truncated Euler product at s."""
+    """Product, factor-wise log, and L'/L of the truncated Euler product at s;
+    ValueError when log|L| is past the float range, where L reads inf or NaN."""
     s = complex(s)
     if not (cmath.isfinite(s) and s.real > 0):
         raise ValueError("truncated Euler product requires finite s with Re(s) > 0")
@@ -74,8 +76,11 @@ def euler_product(s: complex, chi: DirichletCharacter, y: float) -> EulerProduct
     if ps.size == 0:
         return EulerProductValue(1 + 0j, 0j, 0j)
     terms, factors = _factor_matrices(s, ps, cs)
-    value = complex(np.prod(1.0 / factors))
     log_value = complex(-np.sum(np.log(factors)))
+    if not abs(log_value.real) <= _LOG_FLOAT_MAX:
+        past = f"truncated Euler product at s={s} and y={y:g} is past the float range"
+        raise ValueError(f"{past}: log|L| = {log_value.real:.6g}")
+    value = complex(np.prod(1.0 / factors))
     log_deriv = complex(-np.sum(np.log(ps) * terms / factors))
     return EulerProductValue(value, log_value, log_deriv)
 

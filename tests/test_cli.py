@@ -246,6 +246,21 @@ def test_lfun_argument_errors(capsys):
             "experiment: --mode unsmoothing writes CSV only and no plot data",
         ),
         (["verify", "--suite", "calculus", "--seed-base", "-5"], "seed base must be >= 0, got -5"),
+        (
+            ["lfun", "0.5", "0", "1", "0", "1e8"],
+            "truncated Euler product at s=(0.5+0j) and y=1e+08 is past the float range: "
+            "log|L| = 1246.86",
+        ),
+        (
+            ["contour", "--x", "1e5", "--y", "1e5", "--q", "1", "--chi", "0", "--T", "10"]
+            + ["--c", "0.05"],
+            "truncated Euler product at s=(0.05+0j) and y=100000 is past the float range: "
+            "log|L| = 8736.38",
+        ),
+        (
+            ["experiment", "--config", "/dev/null"],
+            "cannot read config /dev/null: Expecting value: line 1 column 1 (char 0)",
+        ),
     ],
     ids=[
         "y_below_2", "residue_not_coprime", "above_ceiling",
@@ -260,7 +275,8 @@ def test_lfun_argument_errors(capsys):
         "saddle_y_above_sieve_bound", "lfun_y_above_sieve_bound",
         "contour_abscissa_past_kernel_range", "verify_negative_seeds", "contour_kernel_hi_inf",
         "contour_kernel_too_narrow", "count_kernel_flags_without_weighted", "unsmoothing_plot_data", "unsmoothing_json",
-        "verify_negative_seed_base",
+        "verify_negative_seed_base", "lfun_product_past_float_range",
+        "contour_product_past_float_range", "experiment_config_not_json",
     ],
 )
 def test_errors_are_one_line_with_status_2(capsys, tmp_path, argv, message):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ _GRID = {"xs": [100.0], "ys": [5.0], "qs": [3]}
 @pytest.mark.parametrize(
     "text, message",
     [
-        (None, "cannot read config"),
+        (None, "cannot read config {path}: No such file or directory"),
         (json.dumps({**_GRID, "xs": 100.0}), "config field xs must be a list"),
         (json.dumps({**_GRID, "epsilons": 0.1}), "config field epsilons must be a list"),
         (json.dumps([_GRID]), "a config must be a JSON object"),
@@ -125,7 +126,7 @@ _GRID = {"xs": [100.0], "ys": [5.0], "qs": [3]}
             json.dumps({**_GRID, "qs": [3, 1000000007]}),
             "modulus 1000000007 exceeds the table bound 1000000",
         ),
-        ("{", "Expecting property name"),
+        ("{", "cannot read config {path}: Expecting property name"),
     ],
     ids=[
         "missing_file", "xs_not_list", "epsilons_not_list", "top_level_list", "q_not_int",
@@ -137,7 +138,7 @@ def test_bad_config_json_raises_value_error(tmp_path, text, message):
     path = tmp_path / "cfg.json"
     if text is not None:
         path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
         ExperimentConfig.from_json(path)
 
 

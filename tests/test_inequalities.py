@@ -22,7 +22,13 @@ from smoothlab import (
     run_suite,
 )
 from smoothlab.errors import NoConvergenceError
-from smoothlab.inequalities import _draw_euler_instance, _segment_quantities, mean_square_trig
+from smoothlab import inequalities
+from smoothlab.inequalities import (
+    _draw_euler_instance,
+    _node_terms,
+    _segment_quantities,
+    mean_square_trig,
+)
 from smoothlab.kernel import panel_grid
 from smoothlab.lseries import _factor_matrices
 
@@ -169,6 +175,19 @@ def test_majorant_random_instances_hold(seed):
     assert check_majorant(n, lam, a, big, float(rng.uniform(0.1, 10))).holds
 
 
+def test_majorant_reads_one_kernel_with_the_bits_of_two():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 31))
+        lam = rng.uniform(-5, 5, n)
+        big = np.abs(rng.normal(size=n))
+        a = big * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        T = float(rng.uniform(0.1, 10))
+        rep = check_majorant(n, lam, a, big, T)
+        assert rep.lhs == mean_square_trig(lam, a, T)
+        assert rep.rhs == 3.0 * mean_square_trig(lam, big.astype(complex), T)
+
+
 # -- segment bounds ----------------------------------------------------------------
 
 
@@ -250,6 +269,80 @@ def test_lemma_sup_is_a_lower_bound(suite, seed):
     assert sup_term <= _boundary_sup(spec, F, split_at, 4096) * (1 + 1e-9)
     rep = (check_lemma1 if suite == "lemma1" else check_lemma2)(spec, F)
     assert rep.lhs <= rep.rhs
+
+
+def test_node_terms_match_the_flat_exponentials():
+    # The flat reference rounds each phase (mid + offset) log p itself, by up
+    # to an ulp of 6 log 59 ~ 24.5 (3.6e-15), so single terms are compared at
+    # 1e-14 and the matrix as a whole at 1e-15.
+    for seed in range(200):
+        spec, _ = _draw_euler_instance(np.random.default_rng(seed), seed)
+        ps, gs = spec.coefficients()
+        lead = gs * np.exp(-spec.beta * np.log(ps))
+        for panels in (64, 128):
+            _, mid, offsets, _ = panel_grid(0.0, spec.r, panels, (12,))
+            nodes = np.add.outer(mid, offsets).ravel()
+            flat = gs * np.exp(-np.multiply.outer(spec.beta + 1j * nodes, np.log(ps)))
+            terms = _node_terms(lead, np.log(ps), mid, offsets)
+            assert terms.shape == flat.shape == (12 * panels, ps.size)
+            error = np.abs(terms - flat)
+            assert np.all(error <= 1e-14 * np.abs(flat))
+            assert np.linalg.norm(error) <= 1e-15 * np.linalg.norm(flat)
+
+
+def _flat_segment_quantities(spec: RandomEulerSpec, F, split_at: float):
+    """The segment quadrature with one exponential per (node, prime), and
+    the panel count it settles at."""
+    ps, gs = spec.coefficients()
+    head = ps <= split_at
+    prev, m = None, 64
+    while True:
+        edges, mid, offsets, weights = panel_grid(0.0, spec.r, m, (12,))
+        nodes, weights = np.add.outer(mid, offsets).ravel(), np.tile(weights, m)
+        terms, factors = _factor_matrices(spec.beta + 1j * nodes, ps, gs)
+        logderiv = -np.sum(terms * np.log(ps) / factors, axis=1)
+        g_full = np.prod(1.0 / factors, axis=1)
+        g_head = np.prod(1.0 / factors[:, head], axis=1)
+        fvals = F.values(spec.beta, nodes)
+        cur = (
+            abs(np.sum(weights * g_full * fvals)),
+            float(np.sum(weights * np.abs(logderiv) ** 2)),
+            float(np.sum(weights * np.abs(g_head) ** 2)),
+        )
+        if prev is not None and max(abs(a - b) for a, b in zip(cur, prev)) <= 1e-8 * max(
+            1.0, *(abs(v) for v in cur)
+        ):
+            break
+        prev, m = cur, 2 * m
+    per_panel = (weights * fvals).reshape(m, 12).sum(axis=1)
+    suffix = np.append(np.cumsum(per_panel[::-1])[::-1], 0.0)
+    tail = _factor_matrices(spec.beta + 1j * edges, ps[~head], gs[~head])[1]
+    sup_term = float(np.max(np.abs(suffix) * np.prod(1.0 / np.abs(tail), axis=1)))
+    g_at_beta = float(abs(np.prod(1.0 / _factor_matrices(complex(spec.beta), ps, gs)[1][head])))
+    lhs, gg, g2 = cur
+    return lhs, sup_term * (g_at_beta + math.sqrt(gg * g2)), m
+
+
+def test_separable_segment_matches_the_flat_reference(monkeypatch):
+    panels = []
+
+    def recording_grid(a, b, n_panels, orders):
+        panels.append(n_panels)
+        return panel_grid(a, b, n_panels, orders)
+
+    monkeypatch.setattr(inequalities, "panel_grid", recording_grid)
+    settled = set()
+    for seed in range(1000):
+        spec, F = _draw_euler_instance(np.random.default_rng(seed), seed)
+        for check, split_at in ((check_lemma1, math.inf), (check_lemma2, math.sqrt(spec.y))):
+            panels.clear()
+            rep = check(spec, F)
+            lhs, rhs, m = _flat_segment_quantities(spec, F, split_at)
+            assert panels[-1] == m
+            settled.add(m)
+            assert rep.lhs == pytest.approx(lhs, rel=1e-14, abs=0.0)
+            assert rep.rhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
+    assert settled == {128}
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])

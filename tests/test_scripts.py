@@ -114,3 +114,28 @@ def test_layer_ladder_runs_two_points():
         assert all(p["wall_s"] > 0 and p["cpu_s"] > 0 and p["tracemalloc_peak_mb"] > 0 for p in points)
         assert len(mode["loglog_slopes"]) == 1 and math.isfinite(mode["loglog_slopes"][0])
     assert all(p["table_s"] > 0 for p in report["modes"]["table"]["points"])
+
+
+def test_segment_ladder_runs_two_points():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--layer", "segment",
+         "--ys", "10", "30", "--repeats", "1"],
+        env=src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report["modes"]) == {"MellinPowerF", "PolyExpF"}
+    for mode in report["modes"].values():
+        points = mode["points"]
+        # pi(10) = 4 and pi(30) = 10 primes, 12 nodes per panel over the
+        # rounds of 64 and 128 panels
+        assert [(p["y"], p["primes"], p["panels"], p["size"]) for p in points] == [
+            (10.0, 4, [64, 128], 4 * 12 * 192), (30.0, 10, [64, 128], 10 * 12 * 192)
+        ]
+        # one exponential per (panel or offset, prime) of each round, and one
+        # per prime for the coefficients and for the product at beta
+        assert [p["exponentials"] for p in points] == [
+            primes * (64 + 12 + 128 + 12 + 2) for primes in (4, 10)
+        ]
+        assert all(p["wall_s"] > 0 and p["cpu_s"] > 0 and p["tracemalloc_peak_mb"] > 0 for p in points)
+        assert len(mode["loglog_slopes"]) == 1 and math.isfinite(mode["loglog_slopes"][0])
